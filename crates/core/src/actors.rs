@@ -1,13 +1,13 @@
-//! Simulation-runtime actors: GRIS, GIIS and client state machines bound
-//! to the deterministic network simulator.
+//! Simulation-runtime actors: service engines (GRIS and GIIS, through
+//! one [`ServiceActor`]) and clients bound to the deterministic network
+//! simulator.
 //!
 //! The protocol engines in `gis-gris`/`gis-giis` are sans-IO; these
 //! adapters move their messages over `gis-netsim` and drive their timers.
 //! Service endpoints are addressed by LDAP URL; a shared [`NameService`]
 //! (the deployment's bootstrap "DNS") maps URLs to simulator nodes.
 
-use gis_giis::{Giis, GiisAction};
-use gis_gris::Gris;
+use crate::service::{Action, Service};
 use gis_ldap::LdapUrl;
 use gis_netsim::{Actor, Ctx, NodeId, SimDuration, SimTime};
 use gis_proto::{GripReply, GripRequest, ProtocolMessage, RequestId, SearchSpec};
@@ -55,108 +55,31 @@ impl NameService {
 /// Timer token used by service actors for their periodic tick.
 const TICK: u64 = 0;
 
-/// A GRIS bound to a simulator node.
-pub struct GrisActor {
+/// A service engine (GRIS or GIIS) bound to a simulator node.
+pub struct ServiceActor<S> {
     /// The protocol engine (public so experiments can inspect stats and
     /// inject provider failures via `Sim::actor_mut`).
-    pub gris: Gris,
+    pub engine: S,
     names: NameService,
     tick_every: SimDuration,
 }
 
-impl GrisActor {
-    /// Wrap a GRIS engine; `tick_every` bounds timer granularity
-    /// (registration refresh and subscription delivery cadence).
-    pub fn new(gris: Gris, names: NameService, tick_every: SimDuration) -> GrisActor {
-        GrisActor {
-            gris,
+impl<S: Service> ServiceActor<S> {
+    /// Wrap an engine; `tick_every` bounds timer granularity
+    /// (registration refresh, subscription delivery cadence, fan-out
+    /// deadlines).
+    pub fn new(engine: S, names: NameService, tick_every: SimDuration) -> ServiceActor<S> {
+        ServiceActor {
+            engine,
             names,
             tick_every,
         }
     }
 
-    fn flush_tick(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>) {
-        let out = self.gris.tick(ctx.now());
-        for (dir, msg) in out.registrations {
-            if let Some(node) = self.names.resolve(&dir) {
-                ctx.send(node, ProtocolMessage::Grrp(msg));
-            }
-        }
-        for (client, reply) in out.updates {
-            ctx.send(NodeId(client as u32), ProtocolMessage::Reply(reply));
-        }
-    }
-}
-
-impl Actor<ProtocolMessage> for GrisActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>) {
-        // Runs on boot *and* on simulator restart: re-announce
-        // immediately rather than waiting out the refresh interval, so
-        // directories re-learn a recovered service as fast as the
-        // network allows.
-        self.gris.agent.reannounce();
-        self.flush_tick(ctx);
-        ctx.set_timer(self.tick_every, TICK);
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut Ctx<'_, ProtocolMessage>,
-        from: NodeId,
-        msg: ProtocolMessage,
-    ) {
-        let (trace, msg) = msg.untraced();
-        match msg {
-            ProtocolMessage::Request(req) => {
-                let now = ctx.now();
-                for reply in self
-                    .gris
-                    .handle_request_traced(u64::from(from.0), req, trace, now)
-                {
-                    ctx.send(from, ProtocolMessage::Reply(reply));
-                }
-            }
-            ProtocolMessage::Grrp(msg) => {
-                self.gris.handle_grrp(&msg);
-            }
-            ProtocolMessage::Reply(_) => { /* a GRIS issues no requests */ }
-            ProtocolMessage::Traced { .. } => { /* nested envelopes are rejected on decode */ }
-            ProtocolMessage::Handshake(_) => {
-                // The §7 handshake authenticates *connections*; the
-                // simulated fabric is connectionless, so binds stay
-                // in-band (GripRequest::Bind).
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>, _token: u64) {
-        self.flush_tick(ctx);
-        ctx.set_timer(self.tick_every, TICK);
-    }
-}
-
-/// A GIIS bound to a simulator node.
-pub struct GiisActor {
-    /// The protocol engine.
-    pub giis: Giis,
-    names: NameService,
-    tick_every: SimDuration,
-}
-
-impl GiisActor {
-    /// Wrap a GIIS engine.
-    pub fn new(giis: Giis, names: NameService, tick_every: SimDuration) -> GiisActor {
-        GiisActor {
-            giis,
-            names,
-            tick_every,
-        }
-    }
-
-    fn perform(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>, actions: Vec<GiisAction>) {
+    fn perform(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>, actions: Vec<Action>) {
         for action in actions {
             match action {
-                GiisAction::SendRequest { to, request, trace } => {
+                Action::SendRequest { to, request, trace } => {
                     if let Some(node) = self.names.resolve(&to) {
                         let msg = ProtocolMessage::Request(request);
                         let msg = match trace {
@@ -169,26 +92,33 @@ impl GiisActor {
                     // pending-query deadline converts that into partial
                     // results, exactly like a partitioned child.
                 }
-                GiisAction::SendGrrp { to, message } => {
+                Action::SendGrrp { to, message } => {
                     if let Some(node) = self.names.resolve(&to) {
                         ctx.send(node, ProtocolMessage::Grrp(message));
                     }
                 }
-                GiisAction::Reply { client, reply } => {
+                Action::Reply { client, reply } => {
                     ctx.send(NodeId(client as u32), ProtocolMessage::Reply(reply));
                 }
             }
         }
     }
-}
 
-impl Actor<ProtocolMessage> for GiisActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>) {
-        // As for GrisActor: restart re-announces to parents immediately.
-        self.giis.agent.reannounce();
-        let actions = self.giis.tick(ctx.now());
+    fn tick(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>) {
+        let actions = self.engine.on_tick(ctx.now());
         self.perform(ctx, actions);
         ctx.set_timer(self.tick_every, TICK);
+    }
+}
+
+impl<S: Service> Actor<ProtocolMessage> for ServiceActor<S> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>) {
+        // Runs on boot *and* on simulator restart: re-announce
+        // immediately rather than waiting out the refresh interval, so
+        // directories re-learn a recovered service as fast as the
+        // network allows.
+        self.engine.parts().1.reannounce();
+        self.tick(ctx);
     }
 
     fn on_message(
@@ -201,27 +131,29 @@ impl Actor<ProtocolMessage> for GiisActor {
         let (trace, msg) = msg.untraced();
         let actions = match msg {
             ProtocolMessage::Request(req) => {
-                self.giis
-                    .handle_request_traced(u64::from(from.0), req, trace, now)
+                self.engine.on_request(u64::from(from.0), req, trace, now)
             }
             ProtocolMessage::Reply(reply) => {
                 let from_url = self
                     .names
                     .url_of(from)
                     .unwrap_or_else(|| LdapUrl::server("unknown"));
-                self.giis.handle_reply(&from_url, reply, now)
+                self.engine.on_reply(&from_url, reply, now)
             }
-            ProtocolMessage::Grrp(msg) => self.giis.handle_grrp(msg, now),
-            ProtocolMessage::Traced { .. } => Vec::new(), // nested: rejected on decode
-            ProtocolMessage::Handshake(_) => Vec::new(),  // connection-oriented; see GRIS note
+            // The simulated fabric has no reply channel for GRRP.
+            ProtocolMessage::Grrp(msg) => self.engine.on_grrp(None, msg, now),
+            // Nested envelopes are rejected on decode.
+            ProtocolMessage::Traced { .. } => Vec::new(),
+            // The §7 handshake authenticates *connections*; the simulated
+            // fabric is connectionless, so binds stay in-band
+            // (GripRequest::Bind).
+            ProtocolMessage::Handshake(_) => Vec::new(),
         };
         self.perform(ctx, actions);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtocolMessage>, _token: u64) {
-        let actions = self.giis.tick(ctx.now());
-        self.perform(ctx, actions);
-        ctx.set_timer(self.tick_every, TICK);
+        self.tick(ctx);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Deployment builder: assemble VOs of GRIS and GIIS instances over the
 //! simulator and drive them from experiment code.
 
-use crate::actors::{ClientActor, GiisActor, GrisActor, NameService};
+use crate::actors::{ClientActor, NameService, ServiceActor};
 use gis_giis::Giis;
 use gis_gris::{
     DynamicHostProvider, FilesystemProvider, Gris, GrisConfig, HostSpec, QueueProvider,
@@ -39,7 +39,7 @@ impl SimDeployment {
     /// Add a GRIS service; its URL becomes resolvable immediately.
     pub fn add_gris(&mut self, gris: Gris) -> NodeId {
         let url = gris.config.url.clone();
-        let actor = GrisActor::new(gris, self.names.clone(), self.tick_every);
+        let actor = ServiceActor::new(gris, self.names.clone(), self.tick_every);
         let node = self.sim.add_node(url.to_string(), Box::new(actor));
         self.names.register(&url, node);
         node
@@ -48,7 +48,7 @@ impl SimDeployment {
     /// Add a GIIS service; its URL becomes resolvable immediately.
     pub fn add_giis(&mut self, giis: Giis) -> NodeId {
         let url = giis.config.url.clone();
-        let actor = GiisActor::new(giis, self.names.clone(), self.tick_every);
+        let actor = ServiceActor::new(giis, self.names.clone(), self.tick_every);
         let node = self.sim.add_node(url.to_string(), Box::new(actor));
         self.names.register(&url, node);
         node
@@ -170,36 +170,36 @@ impl SimDeployment {
     pub fn gris(&self, node: NodeId) -> &Gris {
         &self
             .sim
-            .actor::<GrisActor>(node)
+            .actor::<ServiceActor<Gris>>(node)
             .expect("node is not a GRIS")
-            .gris
+            .engine
     }
 
     /// Mutable access to a deployed GRIS engine.
     pub fn gris_mut(&mut self, node: NodeId) -> &mut Gris {
         &mut self
             .sim
-            .actor_mut::<GrisActor>(node)
+            .actor_mut::<ServiceActor<Gris>>(node)
             .expect("node is not a GRIS")
-            .gris
+            .engine
     }
 
     /// Read-only access to a deployed GIIS engine.
     pub fn giis(&self, node: NodeId) -> &Giis {
         &self
             .sim
-            .actor::<GiisActor>(node)
+            .actor::<ServiceActor<Giis>>(node)
             .expect("node is not a GIIS")
-            .giis
+            .engine
     }
 
     /// Mutable access to a deployed GIIS engine.
     pub fn giis_mut(&mut self, node: NodeId) -> &mut Giis {
         &mut self
             .sim
-            .actor_mut::<GiisActor>(node)
+            .actor_mut::<ServiceActor<Giis>>(node)
             .expect("node is not a GIIS")
-            .giis
+            .engine
     }
 
     /// Read-only access to a client actor.

@@ -6,6 +6,8 @@
 //! * [`actors`] + [`deploy`] — the deterministic simulated runtime used
 //!   by tests and experiments (Figures 1, 4, 5 become reproducible
 //!   simulations);
+//! * [`service`] — the one [`Service`] trait both runtimes drive GRIS
+//!   and GIIS engines through;
 //! * [`scenario`] — prebuilt topologies matching the paper's figures;
 //! * [`live`] — a multi-threaded in-process runtime (crossbeam channels,
 //!   one thread per service) demonstrating that the same engines run
@@ -23,9 +25,10 @@ pub mod live;
 pub mod naming;
 pub mod reactor;
 pub mod scenario;
+pub mod service;
 pub mod transport;
 
-pub use actors::{ClientActor, GiisActor, GrisActor, NameService};
+pub use actors::{ClientActor, NameService, ServiceActor};
 pub use bootstrap::{
     discover_directories, join_via_hierarchy, local_default_directory, manual_join,
 };
@@ -36,4 +39,5 @@ pub use live::{
 };
 pub use naming::{Guid, GuidGenerator, NamingAuthority};
 pub use scenario::{figure5, two_vos, HierarchyScenario, TwoVoScenario};
+pub use service::{QueryPath, Service};
 pub use transport::TcpTuning;

@@ -9,17 +9,19 @@
 //!
 //! # Threading model
 //!
-//! Each service has one *owner* thread that holds the engine (`&mut`) and
-//! performs every mutation: GRRP soft-state, harvest integration, chained
-//! fan-out correlation, subscriptions, and the periodic `tick`. With
-//! [`ServeOptions`]` { workers: N, .. }`, N extra *query worker* threads
-//! pull from the service's shared inbox and answer the read path
-//! concurrently through the engine's cloneable query handle
-//! ([`gis_gris::GrisQueryPath`] / [`gis_giis::GiisQueryPath`]); anything a
-//! worker cannot handle (binds, subscriptions, GRRP, cache-missing
-//! chained searches) is forwarded to the owner's private channel.
-//! `workers = 0` (the default) keeps the owner consuming the inbox
-//! directly — the single-thread loop.
+//! GRIS and GIIS run through one generic driver over the
+//! [`Service`] trait. Each service has one *owner* thread that holds the
+//! engine (`&mut`) and performs every mutation: GRRP soft-state, harvest
+//! integration, chained fan-out correlation, subscriptions, and the
+//! periodic `tick`. It drains its inbox in batches of up to
+//! `OWNER_BATCH` messages under a TCP write cork and ticks once per
+//! batch. With [`ServeOptions`]` { workers: N, .. }`, N extra *query
+//! worker* threads pull from the service's shared inbox and answer the
+//! read path concurrently through the engine's cloneable
+//! [`QueryPath`]; anything a worker cannot handle (binds,
+//! subscriptions, GRRP, cache-missing chained searches) is forwarded to
+//! the owner's private channel. `workers = 0` (the default) keeps the
+//! owner consuming the inbox directly — the single-thread loop.
 //!
 //! # Transports
 //!
@@ -31,20 +33,21 @@
 //! router sees *for* a `tcp://` URL go out over pooled real connections,
 //! so a parent GIIS chains to networked children transparently.
 
+use crate::service::{Action, QueryPath, Service};
 pub use crate::transport::TcpTuning;
 use crate::transport::{
     AuthCallback, BoundEndpoint, ClientConn, ConnCallback, ConnTable, InlineHandler, OutboundCork,
     OutboundSecurity, RecvFail, ReplyCork, TcpEndpoint, TcpOutbound, WireSecurity,
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use gis_giis::{Giis, GiisAction, GiisQueryPath};
+use gis_giis::Giis;
 use gis_gris::Gris;
 use gis_gsi::{Requester, SecurityPolicy};
 use gis_ldap::{Entry, LdapUrl};
 use gis_netsim::{SimRng, SimTime};
 use gis_proto::{
-    GripReply, GripRequest, GrrpMessage, ProtocolMessage, RequestId, ResultCode, SearchSpec,
-    SpanRecord, TraceContext, TraceId, TraceSink,
+    Gauge, GripReply, GripRequest, GrrpMessage, Histogram, ProtocolMessage, RequestId, ResultCode,
+    SearchSpec, SpanRecord, TraceContext, TraceId, TraceSink,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -102,11 +105,13 @@ pub enum LiveMsg {
 }
 
 /// Interns reply addresses as the `u64` client ids the engines key
-/// sessions by. Shared between a service's owner thread and its query
-/// workers so an id minted by either side means the same address.
+/// sessions by. Shared between a service's owner thread, its query
+/// workers and its TCP callbacks so an id minted by any of them means
+/// the same address. The `interned-clients` gauge tracks its size.
 #[derive(Clone)]
 struct ClientInterner {
     inner: Arc<Mutex<InternerState>>,
+    size: Arc<Gauge>,
 }
 
 struct InternerState {
@@ -116,13 +121,14 @@ struct InternerState {
 }
 
 impl ClientInterner {
-    fn new() -> ClientInterner {
+    fn new(size: Arc<Gauge>) -> ClientInterner {
         ClientInterner {
             inner: Arc::new(Mutex::new(InternerState {
                 ids: HashMap::new(),
                 addrs: HashMap::new(),
                 next: 1,
             })),
+            size,
         }
     }
 
@@ -135,6 +141,7 @@ impl ClientInterner {
         s.next += 1;
         s.ids.insert(addr.clone(), id);
         s.addrs.insert(id, addr.clone());
+        self.size.set(s.ids.len() as u64);
         id
     }
 
@@ -142,11 +149,16 @@ impl ClientInterner {
         self.inner.lock().addrs.get(&id).cloned()
     }
 
-    /// The id already minted for `addr`, if any — unlike
-    /// [`intern`](Self::intern) this never allocates one (connection
-    /// teardown must not mint sessions for peers that never spoke).
-    fn lookup(&self, addr: &Address) -> Option<u64> {
-        self.inner.lock().ids.get(addr).copied()
+    /// Drop `addr` (its connection closed), returning the id it held.
+    /// Never mints one: teardown must not create sessions for peers
+    /// that never spoke. Connection ids are never reused, so a late
+    /// reply to the forgotten id is dropped, as for a vanished socket.
+    fn forget(&self, addr: &Address) -> Option<u64> {
+        let mut s = self.inner.lock();
+        let id = s.ids.remove(addr)?;
+        s.addrs.remove(&id);
+        self.size.set(s.ids.len() as u64);
+        Some(id)
     }
 }
 
@@ -403,34 +415,189 @@ impl Router {
     }
 }
 
-/// Execute a batch of GIIS effects against the live network. Shared by
-/// the owner loop and the query workers.
-fn perform_giis_actions(
-    actions: Vec<GiisAction>,
-    router: &Arc<Router>,
-    interner: &ClientInterner,
-    url: &str,
-) {
-    for action in actions {
-        match action {
-            GiisAction::SendRequest { to, request, trace } => router.send_to_service(
-                &to.to_string(),
-                LiveMsg::Request {
-                    from: Address::Service(url.to_owned()),
-                    request,
-                    trace,
-                    enqueued: Instant::now(),
+/// What every thread of one spawned service shares: the network, the
+/// reply-address interner, the service's own URL and clock, and its
+/// inbox instruments.
+#[derive(Clone)]
+struct ServiceLink {
+    router: Arc<Router>,
+    interner: ClientInterner,
+    url: String,
+    epoch: Instant,
+    /// The engine's `config.observability`: record inbox instruments.
+    obs_on: bool,
+    inbox_wait: Arc<Histogram>,
+    inbox_depth: Arc<Gauge>,
+}
+
+impl ServiceLink {
+    fn now(&self) -> SimTime {
+        SimTime::wall(self.epoch)
+    }
+
+    /// Note one message taken off an inbox now holding `depth` more.
+    fn dequeued(&self, enqueued: Instant, depth: usize) {
+        if self.obs_on {
+            self.inbox_wait
+                .record(enqueued.elapsed().as_micros() as u64);
+            self.inbox_depth.set(depth as u64);
+        }
+    }
+
+    /// Execute an engine's effects against the live network. Replies to
+    /// `origin`'s client id go straight back to its address, with no
+    /// interner lookup.
+    fn perform(&self, actions: Vec<Action>, origin: Option<(u64, &Address)>) {
+        for action in actions {
+            match action {
+                Action::SendRequest { to, request, trace } => self.router.send_to_service(
+                    &to.to_string(),
+                    LiveMsg::Request {
+                        from: Address::Service(self.url.clone()),
+                        request,
+                        trace,
+                        enqueued: Instant::now(),
+                    },
+                ),
+                Action::SendGrrp { to, message } => self
+                    .router
+                    .send_to_service(&to.to_string(), LiveMsg::Grrp(message, None)),
+                Action::Reply { client, reply } => match origin {
+                    Some((cid, from)) if cid == client => {
+                        self.router.send_back(from, &self.url, reply)
+                    }
+                    _ => {
+                        if let Some(addr) = self.interner.address_of(client) {
+                            self.router.send_back(&addr, &self.url, reply);
+                        }
+                    }
                 },
-            ),
-            GiisAction::SendGrrp { to, message } => {
-                router.send_to_service(&to.to_string(), LiveMsg::Grrp(message, None))
-            }
-            GiisAction::Reply { client, reply } => {
-                if let Some(addr) = interner.address_of(client) {
-                    router.send_back(&addr, url, reply);
-                }
             }
         }
+    }
+
+    /// Answer `request` from `from` on the read path, or hand it back
+    /// for the owner thread.
+    fn answer<Q: QueryPath>(
+        &self,
+        query: &Q,
+        from: &Address,
+        request: GripRequest,
+        trace: Option<TraceContext>,
+    ) -> Option<GripRequest> {
+        let cid = self.interner.intern(from);
+        match query.handle_query_traced(cid, request, trace, self.now()) {
+            Ok(actions) => {
+                self.perform(actions, Some((cid, from)));
+                None
+            }
+            Err(request) => Some(request),
+        }
+    }
+}
+
+/// A query worker: answers read-path requests from the shared inbox
+/// and forwards everything else to the owner.
+fn worker_loop<Q: QueryPath>(
+    query: Q,
+    link: ServiceLink,
+    inbox: Receiver<LiveMsg>,
+    siblings: Sender<LiveMsg>,
+    owner: Sender<LiveMsg>,
+) {
+    loop {
+        match inbox.recv() {
+            Ok(LiveMsg::Request {
+                from,
+                request,
+                trace,
+                enqueued,
+            }) => {
+                link.dequeued(enqueued, inbox.len());
+                // Mutation-path requests are the owner's.
+                if let Some(request) = link.answer(&query, &from, request, trace) {
+                    let _ = owner.send(LiveMsg::Request {
+                        from,
+                        request,
+                        trace,
+                        enqueued: Instant::now(),
+                    });
+                }
+            }
+            Ok(LiveMsg::Shutdown) => {
+                // Propagate to sibling workers and the owner, then exit.
+                let _ = siblings.send(LiveMsg::Shutdown);
+                let _ = owner.send(LiveMsg::Shutdown);
+                break;
+            }
+            Ok(other) => {
+                let _ = owner.send(other);
+            }
+            Err(_) => break,
+        }
+    }
+}
+
+/// The owner thread: holds the engine and performs every mutation,
+/// then ticks. It drains its inbox in bounded batches under a write
+/// cork, so a batch's chain fan-outs and completed replies leave as one
+/// write per connection (pipelined requesters and mux'd child replies
+/// arrive many-per-read, so the inbox genuinely batches under load).
+fn owner_loop<S: Service>(
+    mut engine: S,
+    link: ServiceLink,
+    inbox: Receiver<LiveMsg>,
+    tick: Duration,
+) {
+    loop {
+        let mut next = match inbox.recv_timeout(tick) {
+            Ok(msg) => Some(msg),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        let cork = next.is_some().then(|| link.router.cork_tcp_writes());
+        let mut drained = 0;
+        while let Some(msg) = next.take() {
+            match msg {
+                LiveMsg::Shutdown => return,
+                LiveMsg::Request {
+                    from,
+                    request,
+                    trace,
+                    enqueued,
+                } => {
+                    link.dequeued(enqueued, inbox.len());
+                    let cid = link.interner.intern(&from);
+                    let actions = engine.on_request(cid, request, trace, link.now());
+                    link.perform(actions, Some((cid, &from)));
+                }
+                LiveMsg::ReplyToService { from_url, reply } => {
+                    // A malformed source URL cannot be correlated to a
+                    // child; drop the reply instead of attributing it to
+                    // a placeholder server.
+                    if let Ok(from) = LdapUrl::parse(&from_url) {
+                        let actions = engine.on_reply(&from, reply, link.now());
+                        link.perform(actions, None);
+                    }
+                }
+                LiveMsg::Grrp(msg, origin) => {
+                    // A TCP-borne registration keeps its connection as
+                    // the reply address, so a signature rejection
+                    // reaches the sender as a wire frame.
+                    let from = origin.as_ref().map(|a| link.interner.intern(a));
+                    let actions = engine.on_grrp(from, msg, link.now());
+                    link.perform(actions, None);
+                }
+                LiveMsg::Reannounce => engine.parts().1.reannounce(),
+            }
+            drained += 1;
+            if drained < OWNER_BATCH {
+                next = inbox.try_recv().ok();
+            }
+        }
+        drop(cork);
+        let actions = engine.on_tick(link.now());
+        link.perform(actions, None);
     }
 }
 
@@ -450,11 +617,12 @@ pub enum Transport {
 
 /// How to run a spawned service: worker-pool width and transport.
 ///
+/// The same options serve a GRIS or a GIIS: both run through one
+/// driver ([`LiveRuntime::spawn_gris`] / [`LiveRuntime::spawn_giis`]).
 /// `workers: 0` (the default) is the owner-thread-only loop; `workers:
-/// N` adds N query-worker threads on the shared inbox, exactly as the
-/// former `spawn_*_pooled` entry points did. The transport selects
-/// whether the inbox is fed only by in-process channels or also by a
-/// TCP front-end.
+/// N` adds N query-worker threads on the shared inbox. The transport
+/// selects whether the inbox is fed only by in-process channels or also
+/// by a TCP front-end.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Query-worker threads sharing the service inbox (0 = owner only).
@@ -620,50 +788,45 @@ impl LiveRuntime {
         Ok(Some(bound))
     }
 
-    /// Start serving a bound listener into `inbox`, with read-path
-    /// requests answered inline on the reactor shard threads. The
-    /// service's metrics registry receives the endpoint's accept/conn
-    /// instruments plus the process-wide reactor shard gauges.
+    /// Start serving a bound listener into `inbox` for the engine whose
+    /// read path is `query`. Read-path requests are answered inline on
+    /// the reactor shard threads — no inbox hop, no worker wakeup;
+    /// owner-only work still flows to the inbox. The §7 handshake
+    /// outcomes of `policy` hook into the engine's session table: an
+    /// authenticated connection's queries run as the proven subject, the
+    /// session (and its interned reply address) dies with the socket,
+    /// and every rejected handshake records an `auth.reject` span into
+    /// the runtime's trace sink, so security incidents show up in the
+    /// same place as slow queries. The service's metrics registry
+    /// receives the endpoint's accept/conn/auth instruments plus the
+    /// process-wide reactor shard gauges.
     #[allow(clippy::too_many_arguments)]
-    fn attach_endpoint(
+    fn serve_endpoint<Q: QueryPath>(
         &mut self,
-        url: &str,
         bound: BoundEndpoint,
+        query: Q,
+        link: &ServiceLink,
         inbox: &Sender<LiveMsg>,
+        policy: &SecurityPolicy,
         tcp: TcpTuning,
-        inline: InlineHandler,
-        security: Arc<WireSecurity>,
         registry: &gis_proto::metrics::MetricsRegistry,
     ) {
-        let ep = bound.serve(
-            inbox.clone(),
-            Arc::clone(&self.router.tcp_conns),
-            tcp,
-            Some(inline),
-            security,
-            registry,
-        );
-        crate::reactor::Reactor::global().publish_into(registry);
-        self.endpoints.insert(url.to_owned(), ep);
-    }
-
-    /// Assemble the wire-facing view of a service's [`SecurityPolicy`]:
-    /// what the listener enforces per connection (handshake gate,
-    /// verifier, our own proof-of-identity) plus the engine hooks that
-    /// fire on auth events. Every rejected handshake records an
-    /// `auth.reject` span into the runtime's trace sink, so security
-    /// incidents show up in the same place as slow queries.
-    fn wire_security(
-        &self,
-        policy: &SecurityPolicy,
-        url: &str,
-        registry: &gis_proto::metrics::MetricsRegistry,
-        on_auth: AuthCallback,
-        on_close: ConnCallback,
-    ) -> Arc<WireSecurity> {
-        let sink = Arc::clone(&self.sink);
-        let span_url = url.to_owned();
-        let epoch = self.epoch;
+        let (inline_query, inline_link) = (query.clone(), link.clone());
+        let inline: InlineHandler = Arc::new(move |conn, request, trace| {
+            inline_link.answer(&inline_query, &Address::Tcp(conn), request, trace)
+        });
+        let (auth_query, auth_interner) = (query.clone(), link.interner.clone());
+        let on_auth: AuthCallback = Arc::new(move |conn, subject| {
+            let cid = auth_interner.intern(&Address::Tcp(conn));
+            auth_query.authenticate_session(cid, Requester::subject(subject));
+        });
+        let close_interner = link.interner.clone();
+        let on_close: ConnCallback = Arc::new(move |conn| {
+            if let Some(cid) = close_interner.forget(&Address::Tcp(conn)) {
+                query.drop_session(cid);
+            }
+        });
+        let (sink, span_url, epoch) = (Arc::clone(&self.sink), link.url.clone(), self.epoch);
         let on_reject: ConnCallback = Arc::new(move |_conn| {
             let span = sink.next_span();
             let now = SimTime::wall(epoch);
@@ -678,18 +841,11 @@ impl LiveRuntime {
                 outcome: "auth-rejected".into(),
             });
         });
-        Arc::new(WireSecurity {
-            required: policy.requires_auth(),
-            authenticator: policy.authenticator(url),
-            credential: policy.credential.clone(),
-            service_name: url.to_owned(),
-            on_auth,
-            on_reject,
-            on_close,
-            auth_ok: registry.counter("auth-ok"),
-            auth_rejected: registry.counter("auth-rejected"),
-            auth_gated: registry.counter("auth-gated"),
-        })
+        let security = WireSecurity::new(policy, &link.url, registry, on_auth, on_reject, on_close);
+        let conns = Arc::clone(&self.router.tcp_conns);
+        let ep = bound.serve(inbox.clone(), conns, tcp, Some(inline), security, registry);
+        crate::reactor::Reactor::global().publish_into(registry);
+        self.endpoints.insert(link.url.clone(), ep);
     }
 
     /// Wall time mapped onto the simulation clock type.
@@ -698,23 +854,25 @@ impl LiveRuntime {
     }
 
     /// The shared span sink every spawned service records into. Traces
-    /// started by [`LiveClient::search_traced`] assemble here.
+    /// started by a [`traced`](SearchRequest::traced) request from a
+    /// channel client assemble here.
     pub fn trace_sink(&self) -> Arc<TraceSink> {
         Arc::clone(&self.sink)
     }
 
-    /// Run a GRIS under `opts`. `opts.workers` query threads share its
-    /// inbox and answer `Search` requests concurrently through the
-    /// engine's [`gis_gris::GrisQueryPath`] (0 = the owner consumes the
-    /// inbox directly — the old single-threaded loop); binds,
-    /// subscriptions, GRRP traffic and the periodic tick always stay on
-    /// the owner thread. With [`Transport::Tcp`] a listener on the
-    /// URL's authority feeds the same inbox from other OS processes,
-    /// answering read-path queries inline on its reader threads; the
-    /// only possible error is a failed bind. Binding happens before
-    /// anything is advertised, and an ephemeral port (`tcp://host:0`)
-    /// is resolved into the real one — both in `gris.config.url` and in
-    /// the registration agent's advert (unless the caller deliberately
+    /// Run a GRIS under `opts`. One owner thread holds the engine and
+    /// performs every mutation (binds, subscriptions, GRRP traffic) and
+    /// the periodic tick, draining its inbox in batches under a write
+    /// cork. `opts.workers` query threads share the inbox and answer
+    /// `Search` requests through the engine's [`QueryPath`], forwarding
+    /// the rest to the owner (0 = the owner consumes the inbox
+    /// directly). With [`Transport::Tcp`] a listener on the URL's
+    /// authority feeds the same inbox from other OS processes, answering
+    /// read-path queries inline on its reactor threads; the only
+    /// possible error is a failed bind. Binding happens before anything
+    /// is advertised, and an ephemeral port (`tcp://host:0`) is resolved
+    /// into the real one — both in `gris.config.url` and in the
+    /// registration agent's advert (unless the caller deliberately
     /// pointed `gris.agent.service_url` elsewhere). The served URL is
     /// returned.
     ///
@@ -723,92 +881,59 @@ impl LiveRuntime {
     /// `gris.config.url`: the registration agent snapshots the URL at
     /// [`Gris::new`] time, and a stale advert makes parents chain to an
     /// address nobody serves.
-    pub fn spawn_gris(&mut self, mut gris: Gris, opts: ServeOptions) -> std::io::Result<LdapUrl> {
-        Self::check_transport(&gris.config.url, opts.transport)?;
-        if let Some(policy) = opts.security.clone() {
-            gris.config.security = policy;
+    pub fn spawn_gris(&mut self, gris: Gris, opts: ServeOptions) -> std::io::Result<LdapUrl> {
+        self.spawn(gris, opts)
+    }
+
+    /// Run a GIIS under `opts`, through the same driver as
+    /// [`spawn_gris`](Self::spawn_gris). Its query path answers
+    /// harvested-cache searches and chained-result-cache hits;
+    /// registrations, fan-out replies and cache misses go to the owner
+    /// thread.
+    pub fn spawn_giis(&mut self, giis: Giis, opts: ServeOptions) -> std::io::Result<LdapUrl> {
+        self.spawn(giis, opts)
+    }
+
+    /// The one service driver behind [`spawn_gris`](Self::spawn_gris)
+    /// and [`spawn_giis`](Self::spawn_giis).
+    fn spawn<S: Service>(&mut self, mut engine: S, opts: ServeOptions) -> std::io::Result<LdapUrl> {
+        let (config, agent) = engine.parts();
+        Self::check_transport(&config.url, opts.transport)?;
+        if let Some(policy) = opts.security {
+            config.security = policy;
         }
-        let bound = Self::bind_endpoint(opts.transport, &mut gris.config.url, &mut gris.agent)?;
-        let workers = opts.workers;
-        let served_url = gris.config.url.clone();
-        let url = gris.config.url.to_string();
-        let (owner_tx, owner_rx): (Sender<LiveMsg>, Receiver<LiveMsg>) = unbounded();
-        let interner = ClientInterner::new();
-        let epoch = self.epoch;
-        let tick = self.tick;
-        gris.set_trace_sink(Arc::clone(&self.sink));
+        let bound = Self::bind_endpoint(opts.transport, &mut config.url, agent)?;
+        let served_url = config.url.clone();
+        let obs_on = config.observability;
+        let url = served_url.to_string();
+        engine.set_trace_sink(Arc::clone(&self.sink));
         if let Some(storage) = opts.persist.as_deref().and_then(open_persist_dir) {
-            let report = gris.set_persistence(storage, live_journal_options(), self.now());
+            let report = engine.set_persistence(storage, live_journal_options(), self.now());
             for w in &report.warnings {
                 eprintln!("warning: {url}: persistence recovery: {w}");
             }
         }
-        let obs_on = gris.config.observability;
-        let registry = gris.metrics();
-        let inbox_wait = registry.histogram("inbox-wait-us");
-        let inbox_depth = registry.gauge("inbox-depth");
-
-        let inbox_tx = if workers == 0 {
+        let registry = engine.metrics();
+        let link = ServiceLink {
+            router: Arc::clone(&self.router),
+            interner: ClientInterner::new(registry.gauge("interned-clients")),
+            url: url.clone(),
+            epoch: self.epoch,
+            obs_on,
+            inbox_wait: registry.histogram("inbox-wait-us"),
+            inbox_depth: registry.gauge("inbox-depth"),
+        };
+        let query = engine.query_path();
+        let (owner_tx, owner_rx) = unbounded();
+        let inbox_tx = if opts.workers == 0 {
             owner_tx.clone()
         } else {
-            let query = gris.query_path();
-            let (in_tx, in_rx): (Sender<LiveMsg>, Receiver<LiveMsg>) = unbounded();
-            for _ in 0..workers {
-                let worker_in_tx = in_tx.clone();
-                let in_rx = in_rx.clone();
-                let owner_tx = owner_tx.clone();
-                let query = query.clone();
-                let interner = interner.clone();
-                let router = Arc::clone(&self.router);
-                let url = url.clone();
-                let inbox_wait = Arc::clone(&inbox_wait);
-                let inbox_depth = Arc::clone(&inbox_depth);
-                let handle = std::thread::spawn(move || {
-                    let now = || SimTime::wall(epoch);
-                    loop {
-                        match in_rx.recv() {
-                            Ok(LiveMsg::Request {
-                                from,
-                                request,
-                                trace,
-                                enqueued,
-                            }) => {
-                                if obs_on {
-                                    inbox_wait.record(enqueued.elapsed().as_micros() as u64);
-                                    inbox_depth.set(in_rx.len() as u64);
-                                }
-                                let cid = interner.intern(&from);
-                                match query.handle_query_traced(cid, request, trace, now()) {
-                                    Ok(replies) => {
-                                        for reply in replies {
-                                            router.send_back(&from, &url, reply);
-                                        }
-                                    }
-                                    // Mutation-path request: the owner's.
-                                    Err(request) => {
-                                        let _ = owner_tx.send(LiveMsg::Request {
-                                            from,
-                                            request,
-                                            trace,
-                                            enqueued: Instant::now(),
-                                        });
-                                    }
-                                }
-                            }
-                            Ok(LiveMsg::Shutdown) => {
-                                // Propagate to sibling workers and the
-                                // owner, then exit.
-                                let _ = worker_in_tx.send(LiveMsg::Shutdown);
-                                let _ = owner_tx.send(LiveMsg::Shutdown);
-                                break;
-                            }
-                            Ok(other) => {
-                                let _ = owner_tx.send(other);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                });
+            let (in_tx, in_rx) = unbounded();
+            for _ in 0..opts.workers {
+                let (query, link, in_rx) = (query.clone(), link.clone(), in_rx.clone());
+                let (siblings, owner) = (in_tx.clone(), owner_tx.clone());
+                let handle =
+                    std::thread::spawn(move || worker_loop(query, link, in_rx, siblings, owner));
                 self.handles.push((in_tx.clone(), handle));
             }
             in_tx
@@ -819,320 +944,13 @@ impl LiveRuntime {
             .write()
             .insert(url.clone(), inbox_tx.clone());
         if let Some(bound) = bound {
-            // Read-path queries are answered on the connection's reader
-            // thread through the same concurrent query path the worker
-            // pool uses — no inbox hop, no worker wakeup; owner-only
-            // work (binds, subscriptions) still flows to the inbox.
-            let query = gris.query_path();
-            let inline_interner = interner.clone();
-            let inline_router = Arc::clone(&self.router);
-            let inline_url = url.clone();
-            let inline: InlineHandler = Arc::new(move |conn_id, request, trace| {
-                let from = Address::Tcp(conn_id);
-                let cid = inline_interner.intern(&from);
-                match query.handle_query_traced(cid, request, trace, SimTime::wall(epoch)) {
-                    Ok(replies) => {
-                        for reply in replies {
-                            inline_router.send_back(&from, &inline_url, reply);
-                        }
-                        None
-                    }
-                    Err(request) => Some(request),
-                }
-            });
-            // Hook the §7 handshake outcomes into the engine's session
-            // table: an authenticated connection's queries run as the
-            // proven subject, and the session dies with the socket.
-            let auth_query = gris.query_path();
-            let auth_interner = interner.clone();
-            let on_auth: AuthCallback = Arc::new(move |conn, subject| {
-                let cid = auth_interner.intern(&Address::Tcp(conn));
-                auth_query.authenticate_session(cid, Requester::subject(subject));
-            });
-            let close_query = gris.query_path();
-            let close_interner = interner.clone();
-            let on_close: ConnCallback = Arc::new(move |conn| {
-                if let Some(cid) = close_interner.lookup(&Address::Tcp(conn)) {
-                    close_query.drop_session(cid);
-                }
-            });
-            let wire =
-                self.wire_security(&gris.config.security, &url, &registry, on_auth, on_close);
-            self.attach_endpoint(&url, bound, &inbox_tx, opts.tcp, inline, wire, &registry);
+            let policy = &engine.parts().0.security;
+            self.serve_endpoint(bound, query, &link, &inbox_tx, policy, opts.tcp, &registry);
         }
-        let router = Arc::clone(&self.router);
-        let handle = std::thread::spawn(move || {
-            let now = || SimTime::wall(epoch);
-            loop {
-                match owner_rx.recv_timeout(tick) {
-                    Ok(LiveMsg::Shutdown) => break,
-                    Ok(LiveMsg::Request {
-                        from,
-                        request,
-                        trace,
-                        enqueued,
-                    }) => {
-                        if obs_on {
-                            inbox_wait.record(enqueued.elapsed().as_micros() as u64);
-                            inbox_depth.set(owner_rx.len() as u64);
-                        }
-                        let cid = interner.intern(&from);
-                        for reply in gris.handle_request_traced(cid, request, trace, now()) {
-                            router.send_back(&from, &url, reply);
-                        }
-                    }
-                    Ok(LiveMsg::Grrp(msg, _)) => {
-                        gris.handle_grrp(&msg);
-                    }
-                    Ok(LiveMsg::Reannounce) => gris.agent.reannounce(),
-                    Ok(LiveMsg::ReplyToService { .. }) => {}
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-                let out = gris.tick(now());
-                for (dir, msg) in out.registrations {
-                    router.send_to_service(&dir.to_string(), LiveMsg::Grrp(msg, None));
-                }
-                for (cid, reply) in out.updates {
-                    if let Some(addr) = interner.address_of(cid) {
-                        router.send_back(&addr, &url, reply);
-                    }
-                }
-            }
-        });
-        self.handles.push((inbox_tx, handle));
-        Ok(served_url)
-    }
-
-    /// Run a GRIS with `workers` query threads sharing its inbox.
-    #[deprecated(note = "use `spawn_gris` with `ServeOptions::channel().with_workers(n)`")]
-    pub fn spawn_gris_pooled(&mut self, gris: Gris, workers: usize) {
-        let _ = self.spawn_gris(gris, ServeOptions::channel().with_workers(workers));
-    }
-
-    /// Run a GIIS under `opts`. `opts.workers` query threads share its
-    /// inbox and answer what the engine's [`GiisQueryPath`] can serve
-    /// without the owner — harvested-cache searches, chained-result-cache
-    /// hits — forwarding everything else (registrations, fan-out
-    /// replies, cache misses) to the owner thread; 0 degenerates to the
-    /// single-threaded loop. With [`Transport::Tcp`] a listener on the
-    /// URL's authority feeds the same inbox from other OS processes,
-    /// answering what the query path can serve inline on its reader
-    /// threads; the only possible error is a failed bind. As with
-    /// [`spawn_gris`](Self::spawn_gris), binding happens first, an
-    /// ephemeral port is resolved into the advertised URLs, and the
-    /// served URL is returned.
-    pub fn spawn_giis(&mut self, mut giis: Giis, opts: ServeOptions) -> std::io::Result<LdapUrl> {
-        Self::check_transport(&giis.config.url, opts.transport)?;
-        if let Some(policy) = opts.security.clone() {
-            giis.config.security = policy;
-        }
-        let bound = Self::bind_endpoint(opts.transport, &mut giis.config.url, &mut giis.agent)?;
-        let workers = opts.workers;
-        let served_url = giis.config.url.clone();
-        let url = giis.config.url.to_string();
-        let (owner_tx, owner_rx): (Sender<LiveMsg>, Receiver<LiveMsg>) = unbounded();
-        let interner = ClientInterner::new();
-        let epoch = self.epoch;
         let tick = self.tick;
-        giis.set_trace_sink(Arc::clone(&self.sink));
-        if let Some(storage) = opts.persist.as_deref().and_then(open_persist_dir) {
-            let report = giis.set_persistence(storage, live_journal_options(), self.now());
-            for w in &report.warnings {
-                eprintln!("warning: {url}: persistence recovery: {w}");
-            }
-        }
-        let obs_on = giis.config.observability;
-        let registry = giis.metrics();
-        let inbox_wait = registry.histogram("inbox-wait-us");
-        let inbox_depth = registry.gauge("inbox-depth");
-
-        let inbox_tx = if workers == 0 {
-            owner_tx.clone()
-        } else {
-            let query: GiisQueryPath = giis.query_path();
-            let (in_tx, in_rx): (Sender<LiveMsg>, Receiver<LiveMsg>) = unbounded();
-            for _ in 0..workers {
-                let worker_in_tx = in_tx.clone();
-                let in_rx = in_rx.clone();
-                let owner_tx = owner_tx.clone();
-                let query = query.clone();
-                let interner = interner.clone();
-                let router = Arc::clone(&self.router);
-                let url = url.clone();
-                let inbox_wait = Arc::clone(&inbox_wait);
-                let inbox_depth = Arc::clone(&inbox_depth);
-                let handle = std::thread::spawn(move || {
-                    let now = || SimTime::wall(epoch);
-                    loop {
-                        match in_rx.recv() {
-                            Ok(LiveMsg::Request {
-                                from,
-                                request,
-                                trace,
-                                enqueued,
-                            }) => {
-                                if obs_on {
-                                    inbox_wait.record(enqueued.elapsed().as_micros() as u64);
-                                    inbox_depth.set(in_rx.len() as u64);
-                                }
-                                let cid = interner.intern(&from);
-                                match query.handle_query_traced(cid, request, trace, now()) {
-                                    Ok(actions) => {
-                                        perform_giis_actions(actions, &router, &interner, &url)
-                                    }
-                                    Err(request) => {
-                                        let _ = owner_tx.send(LiveMsg::Request {
-                                            from,
-                                            request,
-                                            trace,
-                                            enqueued: Instant::now(),
-                                        });
-                                    }
-                                }
-                            }
-                            Ok(LiveMsg::Shutdown) => {
-                                let _ = worker_in_tx.send(LiveMsg::Shutdown);
-                                let _ = owner_tx.send(LiveMsg::Shutdown);
-                                break;
-                            }
-                            Ok(other) => {
-                                let _ = owner_tx.send(other);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                });
-                self.handles.push((in_tx.clone(), handle));
-            }
-            in_tx
-        };
-
-        self.router
-            .services
-            .write()
-            .insert(url.clone(), inbox_tx.clone());
-        if let Some(bound) = bound {
-            let query: GiisQueryPath = giis.query_path();
-            let inline_interner = interner.clone();
-            let inline_router = Arc::clone(&self.router);
-            let inline_url = url.clone();
-            let inline: InlineHandler = Arc::new(move |conn_id, request, trace| {
-                let from = Address::Tcp(conn_id);
-                let cid = inline_interner.intern(&from);
-                match query.handle_query_traced(cid, request, trace, SimTime::wall(epoch)) {
-                    Ok(actions) => {
-                        perform_giis_actions(
-                            actions,
-                            &inline_router,
-                            &inline_interner,
-                            &inline_url,
-                        );
-                        None
-                    }
-                    Err(request) => Some(request),
-                }
-            });
-            let auth_query = giis.query_path();
-            let auth_interner = interner.clone();
-            let on_auth: AuthCallback = Arc::new(move |conn, subject| {
-                let cid = auth_interner.intern(&Address::Tcp(conn));
-                auth_query.authenticate_session(cid, Requester::subject(subject));
-            });
-            let close_query = giis.query_path();
-            let close_interner = interner.clone();
-            let on_close: ConnCallback = Arc::new(move |conn| {
-                if let Some(cid) = close_interner.lookup(&Address::Tcp(conn)) {
-                    close_query.drop_session(cid);
-                }
-            });
-            let wire =
-                self.wire_security(&giis.config.security, &url, &registry, on_auth, on_close);
-            self.attach_endpoint(&url, bound, &inbox_tx, opts.tcp, inline, wire, &registry);
-        }
-        let router = Arc::clone(&self.router);
-        let handle = std::thread::spawn(move || {
-            let now = || SimTime::wall(epoch);
-            loop {
-                let first = match owner_rx.recv_timeout(tick) {
-                    Ok(msg) => Some(msg),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                let mut shutdown = false;
-                if let Some(first) = first {
-                    // Drain a bounded batch under a write cork: the
-                    // batch's chain fan-outs and completed replies leave
-                    // as one write per connection (pipelined requesters
-                    // and mux'd child replies arrive many-per-read, so
-                    // the inbox genuinely batches under load).
-                    let _cork = router.cork_tcp_writes();
-                    let mut msg = first;
-                    let mut drained = 0usize;
-                    loop {
-                        match msg {
-                            LiveMsg::Shutdown => shutdown = true,
-                            LiveMsg::Request {
-                                from,
-                                request,
-                                trace,
-                                enqueued,
-                            } => {
-                                if obs_on {
-                                    inbox_wait.record(enqueued.elapsed().as_micros() as u64);
-                                    inbox_depth.set(owner_rx.len() as u64);
-                                }
-                                let cid = interner.intern(&from);
-                                let actions =
-                                    giis.handle_request_traced(cid, request, trace, now());
-                                perform_giis_actions(actions, &router, &interner, &url);
-                            }
-                            LiveMsg::ReplyToService { from_url, reply } => {
-                                // A malformed source URL cannot be
-                                // correlated to a child; drop the reply
-                                // instead of attributing it to a
-                                // placeholder server.
-                                if let Ok(from) = LdapUrl::parse(&from_url) {
-                                    let actions = giis.handle_reply(&from, reply, now());
-                                    perform_giis_actions(actions, &router, &interner, &url);
-                                }
-                            }
-                            LiveMsg::Grrp(msg, origin) => {
-                                // A TCP-borne registration keeps its
-                                // connection as the reply address, so a
-                                // signature rejection reaches the
-                                // sender as a wire frame.
-                                let from = origin.as_ref().map(|a| interner.intern(a));
-                                let actions = giis.handle_grrp_from(from, msg, now());
-                                perform_giis_actions(actions, &router, &interner, &url);
-                            }
-                            LiveMsg::Reannounce => giis.agent.reannounce(),
-                        }
-                        drained += 1;
-                        if shutdown || drained >= OWNER_BATCH {
-                            break;
-                        }
-                        match owner_rx.try_recv() {
-                            Ok(next) => msg = next,
-                            Err(_) => break,
-                        }
-                    }
-                }
-                if shutdown {
-                    break;
-                }
-                let actions = giis.tick(now());
-                perform_giis_actions(actions, &router, &interner, &url);
-            }
-        });
+        let handle = std::thread::spawn(move || owner_loop(engine, link, owner_rx, tick));
         self.handles.push((inbox_tx, handle));
         Ok(served_url)
-    }
-
-    /// Run a GIIS with `workers` query threads sharing its inbox.
-    #[deprecated(note = "use `spawn_giis` with `ServeOptions::channel().with_workers(n)`")]
-    pub fn spawn_giis_pooled(&mut self, giis: Giis, workers: usize) {
-        let _ = self.spawn_giis(giis, ServeOptions::channel().with_workers(workers));
     }
 
     /// Create a synchronous client handle. Handles are `Send`: spread
@@ -1661,19 +1479,6 @@ impl LiveClient {
         }
     }
 
-    /// Connect to a `tcp://` service endpoint, with default
-    /// [`TcpTuning`] and no security.
-    #[deprecated(note = "use `LiveClient::builder(url).connect()`")]
-    pub fn connect_tcp(url: &LdapUrl) -> std::io::Result<LiveClient> {
-        LiveClient::builder(url).connect()
-    }
-
-    /// Connect with explicit socket knobs and no security.
-    #[deprecated(note = "use `LiveClient::builder(url).tuning(tuning).connect()`")]
-    pub fn connect_tcp_tuned(url: &LdapUrl, tuning: TcpTuning) -> std::io::Result<LiveClient> {
-        LiveClient::builder(url).tuning(tuning).connect()
-    }
-
     /// The §7 handshake round-trip measured when this client connected:
     /// `None` for channel clients and anonymous TCP connections.
     pub fn handshake_rtt(&self) -> Option<Duration> {
@@ -1935,46 +1740,6 @@ impl LiveClient {
                 }
             }
         }
-    }
-
-    /// Issue a search and block (up to `timeout`) for its result.
-    #[deprecated(note = "use `client.request(target, spec).timeout(t).send()`")]
-    pub fn search(
-        &mut self,
-        target: &LdapUrl,
-        spec: SearchSpec,
-        timeout: Duration,
-    ) -> Option<SearchOutcome> {
-        self.request(target, spec).timeout(timeout).send().outcome
-    }
-
-    /// Issue a traced search; see [`SearchRequest::traced`].
-    #[deprecated(note = "use `client.request(target, spec).traced().timeout(t).send()`")]
-    pub fn search_traced(
-        &mut self,
-        target: &LdapUrl,
-        spec: SearchSpec,
-        timeout: Duration,
-    ) -> (TraceId, Option<SearchOutcome>) {
-        let response = self.request(target, spec).traced().timeout(timeout).send();
-        (
-            response.trace.expect("traced request mints a trace id"),
-            response.outcome,
-        )
-    }
-
-    /// Issue a search with retries; see [`SearchRequest::retry`].
-    #[deprecated(note = "use `client.request(target, spec).retry(policy).send()`")]
-    pub fn search_with_retry(
-        &mut self,
-        target: &LdapUrl,
-        spec: &SearchSpec,
-        policy: RetryPolicy,
-    ) -> Option<SearchOutcome> {
-        self.request(target, spec.clone())
-            .retry(policy)
-            .send()
-            .outcome
     }
 
     /// Receive the next asynchronous reply (subscription updates).

@@ -160,9 +160,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// (level-triggered polling re-reports the fd immediately).
 const READS_PER_WAKE: usize = 8;
 
-/// How often a blocking client session re-checks its deadline.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
-
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
@@ -438,23 +435,45 @@ pub(crate) struct WireSecurity {
 }
 
 impl WireSecurity {
-    /// An open endpoint: no handshake support, nothing required — the
-    /// pre-§7 wire behaviour. Counters register under `registry` so the
-    /// monitoring namespace shows zeros rather than missing series.
-    #[cfg(test)]
-    pub(crate) fn open(registry: &MetricsRegistry) -> Arc<WireSecurity> {
+    /// The posture `policy` gives an endpoint advertised as
+    /// `service_name`, with the runtime's hooks. The `auth-ok`,
+    /// `auth-rejected` and `auth-gated` counters register under
+    /// `registry`, so the monitoring namespace shows zeros rather than
+    /// missing series.
+    pub(crate) fn new(
+        policy: &SecurityPolicy,
+        service_name: &str,
+        registry: &MetricsRegistry,
+        on_auth: AuthCallback,
+        on_reject: ConnCallback,
+        on_close: ConnCallback,
+    ) -> Arc<WireSecurity> {
         Arc::new(WireSecurity {
-            required: false,
-            authenticator: None,
-            credential: None,
-            service_name: String::new(),
-            on_auth: Arc::new(|_, _| {}),
-            on_reject: Arc::new(|_| {}),
-            on_close: Arc::new(|_| {}),
+            required: policy.requires_auth(),
+            authenticator: policy.authenticator(service_name),
+            credential: policy.credential.clone(),
+            service_name: service_name.to_owned(),
+            on_auth,
+            on_reject,
+            on_close,
             auth_ok: registry.counter("auth-ok"),
             auth_rejected: registry.counter("auth-rejected"),
             auth_gated: registry.counter("auth-gated"),
         })
+    }
+
+    /// An open endpoint: no handshake support, nothing required — the
+    /// pre-§7 wire behaviour.
+    #[cfg(test)]
+    pub(crate) fn open(registry: &MetricsRegistry) -> Arc<WireSecurity> {
+        WireSecurity::new(
+            &SecurityPolicy::anonymous(),
+            "",
+            registry,
+            Arc::new(|_, _| {}),
+            Arc::new(|_| {}),
+            Arc::new(|_| {}),
+        )
     }
 }
 
@@ -1744,7 +1763,6 @@ impl ClientConn {
         let stream = TcpStream::connect_timeout(&addr, tuning.connect_timeout)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(tuning.write_deadline))?;
-        stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
         Ok(ClientConn {
             stream,
             dec: FrameDecoder::with_max_frame(tuning.max_frame),
@@ -1869,8 +1887,13 @@ impl ClientConn {
                 Ok(None) => {}
                 Err(_) => return Err(RecvFail::Closed),
             }
-            if Instant::now() >= deadline {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
                 return Err(RecvFail::Timeout);
+            }
+            // Block no longer than what is left of the deadline.
+            if self.stream.set_read_timeout(Some(remaining)).is_err() {
+                return Err(RecvFail::Closed);
             }
             match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(RecvFail::Closed),
@@ -2364,18 +2387,14 @@ mod tests {
         let (tx, rx) = crossbeam::channel::unbounded();
         let registry = Arc::new(MetricsRegistry::new());
         let server = SecurityPolicy::authenticated(ca.issue(&service_name), trust.clone());
-        let security = Arc::new(WireSecurity {
-            required: true,
-            authenticator: server.authenticator(service_name.clone()),
-            credential: server.credential.clone(),
-            service_name,
-            on_auth: Arc::new(|_, _| {}),
-            on_reject: Arc::new(|_| {}),
-            on_close: Arc::new(|_| {}),
-            auth_ok: registry.counter("auth-ok"),
-            auth_rejected: registry.counter("auth-rejected"),
-            auth_gated: registry.counter("auth-gated"),
-        });
+        let security = WireSecurity::new(
+            &server,
+            &service_name,
+            &registry,
+            Arc::new(|_, _| {}),
+            Arc::new(|_| {}),
+            Arc::new(|_| {}),
+        );
         let ep = bound.serve(tx, Arc::clone(&conns), tuning, None, security, &registry);
         let client = SecurityPolicy::authenticated(ca.issue("/O=Grid/CN=client"), trust);
         (ep, addr, rx, conns, registry, client)

@@ -47,6 +47,23 @@ echo "==> exp_trust_matrix --smoke (wire security gate: §7 tiers, ACL tax, auth
 cargo build --release --offline -p gis-bench --bin exp_trust_matrix
 ./target/release/exp_trust_matrix --smoke
 
+echo "==> deterministic exp_* outputs (behavioural contract: byte-identical to results/)"
+cargo build --release --offline -p gis-bench --bins
+matched=0
+for f in results/exp_*.txt; do
+    b=$(basename "$f" .txt)
+    case "$b" in
+        # Wall-clock measurements: their gates are the --smoke stages.
+        exp_live_throughput|exp_e13_degraded_mode|exp_observability|exp_tcp_loopback|exp_tcp_saturation|exp_persistence|exp_c10k|exp_federation) continue ;;
+    esac
+    if ! ./target/release/"$b" | diff -u "$f" -; then
+        echo "error: $b output differs from $f" >&2
+        exit 1
+    fi
+    matched=$((matched + 1))
+done
+echo "$matched deterministic outputs identical"
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace -- -D warnings
 

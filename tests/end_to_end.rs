@@ -467,7 +467,7 @@ fn invitation_builds_vo_dynamically() {
     let invite_msg =
         grid_info_services::proto::GrrpMessage::invite(gris_url, new_vo_url, dep.now(), secs(60));
     dep.sim
-        .invoke::<grid_info_services::core::GiisActor, _>(new_vo, |_, ctx| {
+        .invoke::<grid_info_services::core::ServiceActor<Giis>, _>(new_vo, |_, ctx| {
             ctx.send(
                 gris_node,
                 grid_info_services::proto::ProtocolMessage::Grrp(invite_msg),

@@ -263,34 +263,45 @@ fn matchmaker_over_directory_contents() {
     );
 }
 
-/// The pre-transport entry points (`spawn_*_pooled`, `search`,
-/// `search_traced`, `search_with_retry`) survive as thin deprecated
-/// shims over `ServeOptions` and the `SearchRequest` builder; existing
-/// callers keep working unchanged.
+/// A GRIS with a query-worker pool answers the three kinds of
+/// `SearchRequest`: plain, traced (spans recorded in the runtime's sink)
+/// and retried.
 #[test]
-#[allow(deprecated)]
-fn deprecated_entry_points_still_answer() {
+fn pooled_gris_answers_plain_traced_and_retried_searches() {
     use grid_info_services::core::RetryPolicy;
     use grid_info_services::gris::HostSpec as Hs;
 
     let mut rt = LiveRuntime::new(Duration::from_millis(10));
-    let host = Hs::linux("shim", 2);
+    let host = Hs::linux("pooled", 2);
     let gris = SimDeployment::standard_host_gris(&host, 1);
     let url = gris.config.url.clone();
-    rt.spawn_gris_pooled(gris, 2);
+    rt.spawn_gris(gris, ServeOptions::channel().with_workers(2))
+        .unwrap();
 
     let mut client = rt.client();
     let spec = || SearchSpec::subtree(host.dn(), Filter::always());
     let (code, entries, _) = client
-        .search(&url, spec(), Duration::from_secs(5))
-        .expect("shim search answers");
+        .request(&url, spec())
+        .timeout(Duration::from_secs(5))
+        .send()
+        .outcome
+        .expect("pooled search answers");
     assert!(!entries.is_empty(), "{code:?}");
 
-    let (trace, outcome) = client.search_traced(&url, spec(), Duration::from_secs(5));
-    assert!(outcome.is_some());
+    let response = client
+        .request(&url, spec())
+        .traced()
+        .timeout(Duration::from_secs(5))
+        .send();
+    assert!(response.outcome.is_some());
+    let trace = response.trace.expect("traced request mints a trace id");
     assert!(!rt.trace_sink().spans(trace).is_empty(), "trace recorded");
 
-    let outcome = client.search_with_retry(&url, &spec(), RetryPolicy::default());
+    let outcome = client
+        .request(&url, spec())
+        .retry(RetryPolicy::default())
+        .send()
+        .outcome;
     assert!(outcome.is_some());
     rt.shutdown();
 }

@@ -532,34 +532,75 @@ fn secured_topology_admits_signed_and_rejects_unsigned() {
     rt_srv.shutdown();
 }
 
-/// The deprecated `connect_tcp` / `connect_tcp_tuned` shims and the
-/// builder they forward to produce byte-identical results.
+/// A TCP client's `recv` and request deadlines hold even when they are
+/// shorter than any socket-level polling interval.
 #[test]
-#[allow(deprecated)]
-fn deprecated_connect_shims_match_builder() {
+fn tcp_client_timeouts_honour_short_deadlines() {
     if std::env::var("GIS_TCP_E2E_PORT").is_ok() {
         return;
     }
-    let (rt, vo) = tcp_topology(free_port(), &[free_port()]);
-    let mut via_builder = LiveClient::builder(&vo)
-        .connect()
-        .expect("builder connects");
-    let expected = await_entries(&mut via_builder, &vo, 1);
+    // A listener that accepts (by backlog) but never answers.
+    let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+    let url = LdapUrl::tcp("127.0.0.1", silent.local_addr().unwrap().port());
+    let mut client = LiveClient::builder(&url).connect().unwrap();
 
-    let mut via_shim = LiveClient::connect_tcp(&vo).expect("shim connects");
-    assert_eq!(
-        await_entries(&mut via_shim, &vo, 1),
-        expected,
-        "connect_tcp sees what the builder sees"
+    let started = Instant::now();
+    assert!(client.recv(Duration::from_millis(5)).is_none());
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(60),
+        "recv(5 ms) took {waited:?}"
     );
 
-    let mut via_tuned =
-        LiveClient::connect_tcp_tuned(&vo, TcpTuning::default()).expect("tuned shim connects");
-    assert_eq!(
-        await_entries(&mut via_tuned, &vo, 1),
-        expected,
-        "connect_tcp_tuned sees what the builder sees"
+    let started = Instant::now();
+    let outcome = client
+        .request(&url, computers())
+        .timeout(Duration::from_millis(20))
+        .send()
+        .outcome;
+    let waited = started.elapsed();
+    assert!(outcome.is_none(), "nobody answers");
+    assert!(
+        waited < Duration::from_millis(60),
+        "timeout(20 ms) took {waited:?}"
     );
+}
+
+/// Every accepted connection interns one reply address; closing the
+/// connection forgets it, so the interner does not grow with the number
+/// of connections a service has ever seen.
+#[test]
+fn closed_tcp_connections_leave_the_interner() {
+    if std::env::var("GIS_TCP_E2E_PORT").is_ok() {
+        return;
+    }
+    let mut rt = LiveRuntime::new(Duration::from_millis(10));
+    let url = LdapUrl::tcp("127.0.0.1", 0);
+    let gris = static_gris("x1", url, &LdapUrl::server("giis.none"));
+    let interned = gris.metrics().gauge("interned-clients");
+    let url = rt.spawn_gris(gris, ServeOptions::tcp()).unwrap();
+    let baseline = interned.get();
+
+    const CONNS: u64 = 20;
+    let mut clients: Vec<LiveClient> = (0..CONNS)
+        .map(|_| LiveClient::builder(&url).connect().unwrap())
+        .collect();
+    for client in &mut clients {
+        let outcome = client
+            .request(&url, computers())
+            .timeout(Duration::from_secs(5))
+            .send()
+            .outcome;
+        assert!(outcome.is_some(), "served over TCP");
+    }
+    assert_eq!(interned.get(), baseline + CONNS, "one id per connection");
+
+    drop(clients);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while interned.get() != baseline && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(interned.get(), baseline, "closed connections forgotten");
     rt.shutdown();
 }
 
