@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
     let anon = Requester::anonymous();
 
     // GRIS: warm-cache search (the common case).
-    let (mut gris, dn) = host_gris();
+    let (gris, dn) = host_gris();
     let spec = SearchSpec::subtree(dn.clone(), Filter::parse("(objectclass=*)").unwrap());
     gris.search(&spec, &anon, t0); // warm the caches
     g.bench_function("gris_search_cached", |b| {
@@ -45,7 +45,7 @@ fn bench(c: &mut Criterion) {
 
     // GRIS: forced provider invocation each time (expired cache).
     g.bench_function("gris_search_uncached", |b| {
-        let (mut gris, dn) = host_gris();
+        let (gris, dn) = host_gris();
         let spec = SearchSpec::subtree(dn, Filter::parse("(objectclass=*)").unwrap());
         let mut t = 0u64;
         b.iter(|| {

@@ -31,16 +31,16 @@
 //! Runners whose `RLIMIT_NOFILE` hard cap cannot hold the smallest row
 //! skip with a warning (exit 0) rather than fail.
 
-use gis_bench::{banner, f2, section, Table};
+use gis_bench::{banner, computers, f2, section, warm, Args, Json, Table};
 use gis_core::reactor::{connect_nonblocking, reactor_shards, take_socket_error, Poller};
 use gis_core::{LiveClient, LiveRuntime, ServeOptions, SimDeployment, TcpTuning};
 use gis_giis::{Giis, GiisConfig, GiisMode};
-use gis_ldap::{Dn, Filter, LdapUrl};
+use gis_ldap::{Dn, LdapUrl};
 use gis_netsim::SimDuration;
 use gis_proto::frame::{encode_mux_frame_limited, FrameDecoder};
 use gis_proto::{GripReply, GripRequest, ProtocolMessage, ResultCode, SearchSpec, MAX_FRAME};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 
@@ -238,10 +238,7 @@ fn burst(conn: &mut Held, spec: &SearchSpec, queries: usize) -> usize {
 fn run_fleet(gris: SocketAddr, giis: SocketAddr, rowspec: &str, queries: usize) {
     raise_nofile();
     let gris_spec = SearchSpec::lookup(Dn::parse("hn=c10k0").expect("dn"));
-    let giis_spec = SearchSpec::subtree(
-        Dn::root(),
-        Filter::parse("(objectclass=computer)").expect("filter"),
-    );
+    let giis_spec = computers();
     let mut gris_pool: Vec<Held> = Vec::new();
     let mut giis_pool: Vec<Held> = Vec::new();
     for row in rowspec.split(',') {
@@ -287,14 +284,6 @@ struct RowResult {
     rss_mb: f64,
 }
 
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind ephemeral")
-        .local_addr()
-        .unwrap()
-        .port()
-}
-
 /// Chaining GIIS + one registered static GRIS, both pooled, both on TCP
 /// with connection slots sized for the sweep.
 fn build_topology(fd_budget: usize) -> (LiveRuntime, LdapUrl, LdapUrl) {
@@ -305,100 +294,66 @@ fn build_topology(fd_budget: usize) -> (LiveRuntime, LdapUrl, LdapUrl) {
     };
     let opts = ServeOptions::tcp().with_workers(2).with_tuning(tuning);
     let mut rt = LiveRuntime::new(Duration::from_millis(10));
-    let vo = LdapUrl::tcp("127.0.0.1", free_port());
     let mut giis = Giis::new(
-        GiisConfig::chaining(vo.clone(), Dn::root()),
+        GiisConfig::chaining(LdapUrl::tcp("127.0.0.1", 0), Dn::root()),
         SimDuration::from_millis(500),
         SimDuration::from_secs(30),
     );
     giis.config.mode = GiisMode::Chain {
         timeout: SimDuration::from_millis(2_000),
     };
-    rt.spawn_giis(giis, opts.clone()).expect("spawn giis");
+    let vo = rt.spawn_giis(giis, opts.clone()).expect("spawn giis");
 
     let host = gis_gris::HostSpec::linux("c10k0", 2);
     let mut gris = SimDeployment::standard_host_gris(&host, 0);
-    gris.config.url = LdapUrl::tcp("127.0.0.1", free_port());
-    gris.agent.service_url = gris.config.url.clone();
+    gris.config.url = LdapUrl::tcp("127.0.0.1", 0);
     gris.agent.add_target(vo.clone());
     gris.agent.interval = SimDuration::from_millis(500);
     gris.agent.ttl = SimDuration::from_secs(30);
-    let gris_url = gris.config.url.clone();
-    rt.spawn_gris(gris, opts).expect("spawn gris");
+    let gris_url = rt.spawn_gris(gris, opts).expect("spawn gris");
     (rt, gris_url, vo)
 }
 
-/// Block until the GRIS has registered into the GIIS (chained searches
-/// would otherwise race the first soft-state refresh).
-fn await_registration(vo: &LdapUrl) {
-    let mut client = LiveClient::builder(vo).connect().expect("connect giis");
-    let spec = SearchSpec::subtree(
-        Dn::root(),
-        Filter::parse("(objectclass=computer)").expect("filter"),
-    );
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let outcome = client
-            .request(vo, spec.clone())
-            .timeout(Duration::from_secs(2))
-            .send()
-            .outcome;
-        if let Some((ResultCode::Success, entries, _)) = &outcome {
-            if !entries.is_empty() {
-                return;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "GRIS never registered into the GIIS; last outcome: {outcome:?}"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
-
-fn write_json(path: &str, rows: &[RowResult], queries: usize, shards: usize) {
-    let mut body = String::from("{\n");
-    body.push_str(&format!("  \"queries_per_active\": {queries},\n"));
-    body.push_str(&format!("  \"reactor_shards\": {shards},\n"));
-    body.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"target\": \"{}\", \"conns\": {}, \"active\": {}, \"ok\": {}, \
-             \"total\": {}, \"secs\": {:.3}, \"server_threads\": {}, \
-             \"server_rss_mb\": {:.1}}}{}\n",
-            r.target,
-            r.conns,
-            r.active,
-            r.ok,
-            r.total,
-            r.secs,
-            r.threads,
-            r.rss_mb,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
+/// The JSON dump: every row, plus the largest fully answered GRIS
+/// row's footprint.
+fn rows_json(rows: &[RowResult], queries: usize, shards: usize) -> Json {
+    let json_rows: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            Json::new()
+                .str("target", &r.target)
+                .num("conns", r.conns)
+                .num("active", r.active)
+                .num("ok", r.ok)
+                .num("total", r.total)
+                .num("secs", format!("{:.3}", r.secs))
+                .num("server_threads", r.threads)
+                .num("server_rss_mb", format!("{:.1}", r.rss_mb))
+        })
+        .collect();
     let max_complete = rows
         .iter()
         .filter(|r| r.target == "gris" && r.ok == r.total)
         .map(|r| r.conns)
         .max()
         .unwrap_or(0);
-    let threads_at_max = rows
-        .iter()
-        .filter(|r| r.target == "gris" && r.conns == max_complete)
-        .map(|r| r.threads)
-        .max()
-        .unwrap_or(0);
-    let rss_at_max = rows
-        .iter()
-        .filter(|r| r.target == "gris" && r.conns == max_complete)
-        .map(|r| r.rss_mb)
-        .fold(0.0f64, f64::max);
-    body.push_str(&format!(
-        "  ],\n  \"derived\": {{\"c10k_max_conns\": {max_complete}, \
-         \"threads_at_10k\": {threads_at_max}, \"rss_mb_at_max\": {rss_at_max:.1}}}\n}}\n"
-    ));
-    std::fs::write(path, body).expect("write json");
+    let at_max = || {
+        rows.iter()
+            .filter(move |r| r.target == "gris" && r.conns == max_complete)
+    };
+    let threads_at_max = at_max().map(|r| r.threads).max().unwrap_or(0);
+    let rss_at_max = at_max().map(|r| r.rss_mb).fold(0.0f64, f64::max);
+    Json::new()
+        .num("queries_per_active", queries)
+        .num("reactor_shards", shards)
+        .rows("rows", &json_rows)
+        .obj(
+            "derived",
+            Json::new()
+                .num("c10k_max_conns", max_complete)
+                .num("threads_at_10k", threads_at_max)
+                .num("rss_mb_at_max", format!("{rss_at_max:.1}")),
+        )
 }
 
 fn main() {
@@ -411,12 +366,7 @@ fn main() {
         run_fleet(gris, giis, &args[i + 3], queries);
         return;
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let Args { smoke, json } = Args::parse();
 
     banner(
         "C10K",
@@ -464,7 +414,14 @@ fn main() {
     );
 
     let (rt, gris_url, vo) = build_topology(max_conns + giis_conns + FD_SLACK as usize / 2);
-    await_registration(&vo);
+    // Chained searches would otherwise race the GRIS's first
+    // registration.
+    warm(
+        &mut LiveClient::builder(&vo).connect().expect("connect giis"),
+        &vo,
+        &computers(),
+        1,
+    );
     let (threads0, rss0) = self_threads_rss();
     println!("server at rest: {threads0} threads, {rss0:.1} MiB RSS\n");
 
@@ -558,9 +515,8 @@ fn main() {
          of stacks per row."
     );
 
-    if let Some(path) = &json_path {
-        write_json(path, &rows, queries, shards);
-        println!("\njson written to {path}");
+    if let Some(path) = &json {
+        rows_json(&rows, queries, shards).write(path);
     }
 
     if smoke {

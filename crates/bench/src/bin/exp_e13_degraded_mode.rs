@@ -23,7 +23,7 @@
 //! (c) after healing, half-open probes re-admit the child and answers
 //!     return to complete.
 
-use gis_bench::{banner, f2, section, Table};
+use gis_bench::{banner, f2, percentile, section, Table};
 use gis_core::{LiveRuntime, RetryPolicy, ServeOptions, ServiceFault};
 use gis_giis::{BreakerConfig, Giis, GiisConfig, GiisMode};
 use gis_gris::{Gris, GrisConfig, InfoProvider, ProviderError};
@@ -167,6 +167,7 @@ struct Phase {
     completeness_sum: f64,
     stale_answers: usize,
     codes: Vec<ResultCode>,
+    /// Ascending.
     latencies_ms: Vec<f64>,
 }
 
@@ -187,15 +188,6 @@ impl Phase {
         let cutoff = CHAIN_TIMEOUT_MS as f64 * 0.95;
         self.latencies_ms.iter().filter(|l| **l < cutoff).count() as f64
             / self.latencies_ms.len() as f64
-    }
-    fn percentile(&self, p: f64) -> f64 {
-        let mut sorted = self.latencies_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted[idx]
     }
     fn code_summary(&self) -> String {
         let count = |c: ResultCode| self.codes.iter().filter(|x| **x == c).count();
@@ -245,6 +237,7 @@ fn measure(dep: &Deployment, hardened: bool) -> Phase {
             phase.codes.push(code);
         }
     }
+    phase.latencies_ms.sort_by(f64::total_cmp);
     phase
 }
 
@@ -332,8 +325,8 @@ fn main() {
                 f2(p.completeness()),
                 p.stale_answers.to_string(),
                 f2(p.below_deadline()),
-                f2(p.percentile(0.5)),
-                f2(p.percentile(0.99)),
+                f2(percentile(&p.latencies_ms, 0.5)),
+                f2(percentile(&p.latencies_ms, 0.99)),
                 p.code_summary(),
             ]);
         }

@@ -29,13 +29,13 @@
 //! fails; `--json PATH` writes the derived metrics for the benchmark
 //! snapshot script.
 
-use gis_bench::{banner, f2, section, Table};
+use gis_bench::{banner, computers, f2, percentile, section, Args, Json, Table};
 use gis_core::SimDeployment;
 use gis_giis::{Giis, GiisConfig, GiisMode};
 use gis_gris::HostSpec;
 use gis_ldap::{Dit, Dn, Entry, Filter, LdapUrl, Scope};
 use gis_netsim::{ms, secs, LinkConfig, NodeId, SimDuration};
-use gis_proto::{GripRequest, SearchSpec};
+use gis_proto::GripRequest;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -183,21 +183,8 @@ fn build(p: &Params, seed: u64) -> FedScenario {
     }
 }
 
-fn computers() -> SearchSpec {
-    SearchSpec::subtree(
-        Dn::root(),
-        Filter::parse("(objectclass=computer)").expect("filter"),
-    )
-}
-
 fn mean_us(samples: &[SimDuration]) -> f64 {
     samples.iter().map(|d| d.micros() as f64).sum::<f64>() / samples.len().max(1) as f64
-}
-
-fn p99_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = ((samples.len() - 1) as f64 * 0.99).ceil() as usize;
-    samples[idx]
 }
 
 struct SimResults {
@@ -302,7 +289,10 @@ fn run_sim(p: &Params, seed: u64) -> SimResults {
         fed_query_ms,
         chain_query_ms,
         speedup: chain_query_ms / fed_query_ms,
-        staleness_p99_ms: p99_ms(&mut ages_ms),
+        staleness_p99_ms: {
+            ages_ms.sort_by(f64::total_cmp);
+            percentile(&ages_ms, 0.99)
+        },
         staleness_samples: ages_ms.len(),
         fed_entries,
         chain_entries,
@@ -422,42 +412,9 @@ fn bulk_load_ratio(n: usize) -> (f64, f64, f64) {
     (bulk_med * 1e3, upsert_med * 1e3, upsert_med / bulk_med)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(path: &str, p: &Params, r: &SimResults, bulk_ratio: f64) {
-    let bound_ms = (SYNC_INTERVAL + SYNC_DEADLINE).micros() as f64 / 1_000.0;
-    let body = format!(
-        "{{\n  \"topology\": \"{} gris / {} sites / 2 federated roots + chaining baseline\",\n  \
-         \"sync_interval_ms\": {:.0},\n  \"sync_deadline_ms\": {:.0},\n  \
-         \"fed_local_read_us\": {:.2},\n  \"dit_search_us\": {:.2},\n  \
-         \"local_read_ratio\": {:.2},\n  \"fed_query_ms\": {:.2},\n  \
-         \"chain_query_ms\": {:.2},\n  \"fed_speedup_vs_chaining\": {:.2},\n  \
-         \"fed_staleness_p99_ms\": {:.1},\n  \"staleness_bound_ms\": {:.0},\n  \
-         \"bulk_load_speedup\": {:.2}\n}}\n",
-        p.hosts(),
-        p.sites,
-        SYNC_INTERVAL.micros() as f64 / 1_000.0,
-        SYNC_DEADLINE.micros() as f64 / 1_000.0,
-        r.local_read_us,
-        r.dit_search_us,
-        r.read_ratio,
-        r.fed_query_ms,
-        r.chain_query_ms,
-        r.speedup,
-        r.staleness_p99_ms,
-        bound_ms,
-        bulk_ratio,
-    );
-    std::fs::write(path, body).expect("write json");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::parse();
+    let smoke = args.smoke;
 
     banner(
         "FED",
@@ -519,9 +476,29 @@ fn main() {
     t.row(vec!["speedup".into(), f2(bulk_ratio)]);
     t.print();
 
-    if let Some(path) = &json_path {
-        write_json(path, &p, &r, bulk_ratio);
-        println!("\njson written to {path}");
+    if let Some(path) = &args.json {
+        let ms = |d: SimDuration| format!("{:.0}", d.micros() as f64 / 1_000.0);
+        Json::new()
+            .str(
+                "topology",
+                &format!(
+                    "{} gris / {} sites / 2 federated roots + chaining baseline",
+                    p.hosts(),
+                    p.sites
+                ),
+            )
+            .num("sync_interval_ms", ms(SYNC_INTERVAL))
+            .num("sync_deadline_ms", ms(SYNC_DEADLINE))
+            .num("fed_local_read_us", f2(r.local_read_us))
+            .num("dit_search_us", f2(r.dit_search_us))
+            .num("local_read_ratio", f2(r.read_ratio))
+            .num("fed_query_ms", f2(r.fed_query_ms))
+            .num("chain_query_ms", f2(r.chain_query_ms))
+            .num("fed_speedup_vs_chaining", f2(r.speedup))
+            .num("fed_staleness_p99_ms", format!("{:.1}", r.staleness_p99_ms))
+            .num("staleness_bound_ms", format!("{bound_ms:.0}"))
+            .num("bulk_load_speedup", f2(bulk_ratio))
+            .write(path);
     }
 
     let mut failures = Vec::new();

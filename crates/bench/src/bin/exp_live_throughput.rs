@@ -25,228 +25,31 @@
 //! With `--json PATH` the raw numbers are also written as JSON for the
 //! benchmark snapshot script.
 
-use gis_bench::{banner, f2, section, Table};
+use gis_bench::{banner, drive, f2, section, Args, Json, ProbeFleet, Table};
 use gis_core::{LiveRuntime, ServeOptions, SimDeployment};
 use gis_giis::{Giis, GiisConfig, GiisMode};
-use gis_gris::{Gris, GrisConfig, HostSpec, InfoProvider, ProviderError};
-use gis_ldap::{Dn, Entry, Filter, LdapUrl};
-use gis_netsim::{SimDuration, SimTime};
+use gis_gris::HostSpec;
+use gis_ldap::{Dn, Filter, LdapUrl};
+use gis_netsim::SimDuration;
 use gis_proto::SearchSpec;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const QUERIES_PER_CLIENT: usize = 200;
 /// Fixed client load for the worker-count sweep.
 const SWEEP_CLIENTS: usize = 8;
-/// Probe providers in the sweep GRIS — one per sweep client so queries
-/// in flight land on distinct slots (distinct striped locks).
-const PROBE_COUNT: usize = 8;
-/// Entries each probe returns: enough merge + redact + project work per
-/// query that the snapshot read path is exercised, not just channels.
-const PROBE_ENTRIES: usize = 24;
-/// Wall-clock cost of one provider invocation (the external program the
-/// paper's GRIS forks per query).
-const PROBE_MS: u64 = 2;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-struct Run {
-    qps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    ok: usize,
-    total: usize,
-}
-
-/// A record of one measured configuration, for the JSON dump.
-struct JsonRow {
-    workload: &'static str,
-    clients: usize,
-    /// `None` for the client sweep (single-threaded services).
-    workers: Option<usize>,
-    run: Run,
-}
-
-/// One site's inventory behind a deliberately slow, non-cacheable
-/// provider: every search pays one external-program invocation, like the
-/// paper's fork/exec information providers.
-#[derive(Debug)]
-struct ProbeProvider {
-    namespace: Dn,
-    entries: Vec<Entry>,
-    probe: Duration,
-}
-
-impl ProbeProvider {
-    fn new(site: usize, hosts: usize, probe: Duration) -> ProbeProvider {
-        let namespace = Dn::parse(&format!("ou=site{site}, o=fleet")).expect("site dn");
-        let entries = (0..hosts)
-            .map(|i| {
-                Entry::new(Dn::parse(&format!("hn=h{i}, ou=site{site}, o=fleet")).expect("host dn"))
-                    .with_class("computer")
-                    .with("hn", format!("h{i}"))
-                    .with("system", "linux")
-                    .with("arch", if i % 2 == 0 { "x86_64" } else { "aarch64" })
-                    .with("cpucount", (2 + (i % 7)) as i64)
-                    .with("memorymb", (1024 * (1 + i % 16)) as i64)
-            })
-            .collect();
-        ProbeProvider {
-            namespace,
-            entries,
-            probe,
-        }
-    }
-}
-
-impl InfoProvider for ProbeProvider {
-    fn name(&self) -> &str {
-        "site-probe"
-    }
-    fn namespace(&self) -> &Dn {
-        &self.namespace
-    }
-    fn cache_ttl(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-    fn cacheable(&self) -> bool {
-        false
-    }
-    fn fetch(&mut self, _spec: &SearchSpec, _now: SimTime) -> Result<Vec<Entry>, ProviderError> {
-        std::thread::sleep(self.probe);
-        Ok(self.entries.clone())
-    }
-}
-
-/// Drive `threads` parallel clients; client `i` issues `specs[i % len]`.
-fn drive(rt: &LiveRuntime, target: &LdapUrl, threads: usize, specs: &[SearchSpec]) -> Run {
-    let mut handles = Vec::new();
-    let start = Instant::now();
-    for i in 0..threads {
-        let mut client = rt.client();
-        let target = target.clone();
-        let spec = specs[i % specs.len()].clone();
-        handles.push(std::thread::spawn(move || {
-            let mut latencies = Vec::with_capacity(QUERIES_PER_CLIENT);
-            let mut ok = 0;
-            for _ in 0..QUERIES_PER_CLIENT {
-                let t0 = Instant::now();
-                if client
-                    .request(&target, spec.clone())
-                    .timeout(Duration::from_secs(10))
-                    .send()
-                    .outcome
-                    .is_some()
-                {
-                    ok += 1;
-                    latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-                }
-            }
-            (ok, latencies)
-        }));
-    }
-    let mut all_latencies = Vec::new();
-    let mut ok = 0;
-    for h in handles {
-        let (o, lats) = h.join().expect("client thread");
-        ok += o;
-        all_latencies.extend(lats);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    all_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Run {
-        qps: ok as f64 / elapsed,
-        p50_us: percentile(&all_latencies, 0.50),
-        p99_us: percentile(&all_latencies, 0.99),
-        ok,
-        total: threads * QUERIES_PER_CLIENT,
-    }
-}
-
-/// One worker-sweep measurement: a fresh runtime, one pooled GRIS over
-/// `PROBE_COUNT` slow probe providers, fixed parallel-client load. Each
-/// client queries its own site subtree, so concurrent queries block in
-/// distinct provider invocations — the work a pool can overlap.
-fn run_worker_config(workers: usize) -> Run {
-    let mut rt = LiveRuntime::new(Duration::from_millis(5));
-    let url = LdapUrl::server("gris.pool");
-    let mut gris = Gris::new(
-        GrisConfig::open(url.clone(), Dn::parse("o=fleet").expect("suffix")),
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(180),
-    );
-    for site in 0..PROBE_COUNT {
-        gris.add_provider(Box::new(ProbeProvider::new(
-            site,
-            PROBE_ENTRIES,
-            Duration::from_millis(PROBE_MS),
-        )));
-    }
-    rt.spawn_gris(gris, ServeOptions::default().with_workers(workers))
-        .unwrap();
-    let specs: Vec<SearchSpec> = (0..PROBE_COUNT)
-        .map(|site| {
-            SearchSpec::subtree(
-                Dn::parse(&format!("ou=site{site}, o=fleet")).expect("base"),
-                Filter::parse("(objectclass=computer)").expect("filter"),
-            )
-        })
-        .collect();
-    // One query outside the measured window so the service thread (and
-    // any workers) are demonstrably up before timing starts.
-    let mut warm = rt.client();
-    warm.request(&url, specs[0].clone())
-        .timeout(Duration::from_secs(10))
-        .send()
-        .outcome
-        .expect("warmup query");
-    let run = drive(&rt, &url, SWEEP_CLIENTS, &specs);
-    rt.shutdown();
-    run
-}
-
-fn write_json(path: &str, rows: &[JsonRow]) {
-    let mut body = String::from("{\n  \"queries_per_client\": ");
-    body.push_str(&QUERIES_PER_CLIENT.to_string());
-    body.push_str(",\n  \"probe_count\": ");
-    body.push_str(&PROBE_COUNT.to_string());
-    body.push_str(",\n  \"probe_entries\": ");
-    body.push_str(&PROBE_ENTRIES.to_string());
-    body.push_str(",\n  \"probe_ms\": ");
-    body.push_str(&PROBE_MS.to_string());
-    body.push_str(",\n  \"runs\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"clients\": {}, \"workers\": {}, \
-             \"qps\": {:.2}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"ok\": {}, \"total\": {}}}{}\n",
-            row.workload,
-            row.clients,
-            row.workers
-                .map_or_else(|| "null".to_string(), |w| w.to_string()),
-            row.run.qps,
-            row.run.p50_us,
-            row.run.p99_us,
-            row.run.ok,
-            row.run.total,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(path, body).expect("write json");
-}
+/// The sweep GRIS: one probe provider per sweep client, so queries in
+/// flight land on distinct slots (distinct striped locks); 24 entries
+/// each, enough merge + redact + project work per query that the
+/// snapshot read path is exercised, not just channels; 2 ms per
+/// invocation (the external program the paper's GRIS forks per query).
+const FLEET: ProbeFleet = ProbeFleet {
+    sites: 8,
+    hosts: 24,
+    probe: Duration::from_millis(2),
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::parse();
 
     banner(
         "LIVE",
@@ -256,7 +59,7 @@ fn main() {
     println!(
         "4 GRIS + 1 chaining GIIS on their own threads; {QUERIES_PER_CLIENT} queries per client.\n"
     );
-    let mut json_rows: Vec<JsonRow> = Vec::new();
+    let mut json_rows: Vec<Json> = Vec::new();
 
     let mut rt = LiveRuntime::new(Duration::from_millis(5));
     let vo_url = LdapUrl::server("giis.live");
@@ -297,8 +100,15 @@ fn main() {
         "p99 (us)",
         "ok",
     ]);
+    let clients = |n: usize| (0..n).map(|_| rt.client()).collect();
     for &threads in &[1usize, 2, 4, 8, 16] {
-        let r = drive(&rt, &gris0_url, threads, std::slice::from_ref(&lookup_spec));
+        let r = drive(
+            clients(threads),
+            &gris0_url,
+            std::slice::from_ref(&lookup_spec),
+            QUERIES_PER_CLIENT,
+            1,
+        );
         table.row(vec![
             "direct GRIS lookup".into(),
             threads.to_string(),
@@ -307,15 +117,22 @@ fn main() {
             f2(r.p99_us),
             format!("{}/{}", r.ok, r.total),
         ]);
-        json_rows.push(JsonRow {
-            workload: "direct_lookup",
-            clients: threads,
-            workers: None,
-            run: r,
-        });
+        json_rows.push(
+            Json::new()
+                .str("workload", "direct_lookup")
+                .num("clients", threads)
+                .num("workers", "null")
+                .run(&r),
+        );
     }
     for &threads in &[1usize, 4, 8] {
-        let r = drive(&rt, &vo_url, threads, std::slice::from_ref(&chained_spec));
+        let r = drive(
+            clients(threads),
+            &vo_url,
+            std::slice::from_ref(&chained_spec),
+            QUERIES_PER_CLIENT,
+            1,
+        );
         table.row(vec![
             "chained discovery".into(),
             threads.to_string(),
@@ -324,24 +141,28 @@ fn main() {
             f2(r.p99_us),
             format!("{}/{}", r.ok, r.total),
         ]);
-        json_rows.push(JsonRow {
-            workload: "chained_discovery",
-            clients: threads,
-            workers: None,
-            run: r,
-        });
+        json_rows.push(
+            Json::new()
+                .str("workload", "chained_discovery")
+                .num("clients", threads)
+                .num("workers", "null")
+                .run(&r),
+        );
     }
     section("results: client parallelism (wall-clock, this machine)");
     table.print();
     rt.shutdown();
 
     println!(
-        "\nWorker-pool sweep: one GRIS over {PROBE_COUNT} non-cacheable probe\n\
-         providers ({PROBE_ENTRIES} entries each, {PROBE_MS} ms per invocation —\n\
+        "\nWorker-pool sweep: one GRIS over {} non-cacheable probe\n\
+         providers ({} entries each, {} ms per invocation —\n\
          the external information-provider program), {SWEEP_CLIENTS} client\n\
          threads each querying its own site subtree, spawn_gris with a\n\
          ServeOptions pool of N query workers (0 = the single-threaded\n\
-         owner loop).\n"
+         owner loop).\n",
+        FLEET.sites,
+        FLEET.hosts,
+        FLEET.probe.as_millis()
     );
     let mut wtable = Table::new(&[
         "query workers",
@@ -352,7 +173,7 @@ fn main() {
         "ok",
     ]);
     for &workers in &[0usize, 1, 2, 4, 8] {
-        let r = run_worker_config(workers);
+        let r = FLEET.measure(workers, SWEEP_CLIENTS, QUERIES_PER_CLIENT, true);
         wtable.row(vec![
             if workers == 0 {
                 "0 (owner loop)".into()
@@ -365,12 +186,13 @@ fn main() {
             f2(r.p99_us),
             format!("{}/{}", r.ok, r.total),
         ]);
-        json_rows.push(JsonRow {
-            workload: "worker_sweep",
-            clients: SWEEP_CLIENTS,
-            workers: Some(workers),
-            run: r,
-        });
+        json_rows.push(
+            Json::new()
+                .str("workload", "worker_sweep")
+                .num("clients", SWEEP_CLIENTS)
+                .num("workers", workers)
+                .run(&r),
+        );
     }
     section("results: query-worker parallelism (wall-clock, this machine)");
     wtable.print();
@@ -378,15 +200,21 @@ fn main() {
         "\nexpected shape: direct-lookup throughput scales with client threads\n\
          until the single GRIS thread saturates; chained discovery pays the\n\
          GIIS fan-out (4 children) per query and saturates earlier. In the\n\
-         worker sweep a single thread serializes every {PROBE_MS} ms probe, so\n\
+         worker sweep a single thread serializes every {} ms probe, so\n\
          throughput grows near-linearly with workers (overlapped provider\n\
          invocations against the shared snapshot read path) until the client\n\
          count or available cores cap it. All queries complete — no loss\n\
-         under contention."
+         under contention.",
+        FLEET.probe.as_millis()
     );
 
-    if let Some(path) = json_path {
-        write_json(&path, &json_rows);
-        println!("\njson written to {path}");
+    if let Some(path) = &args.json {
+        Json::new()
+            .num("queries_per_client", QUERIES_PER_CLIENT)
+            .num("probe_count", FLEET.sites)
+            .num("probe_entries", FLEET.hosts)
+            .num("probe_ms", FLEET.probe.as_millis())
+            .rows("runs", &json_rows)
+            .write(path);
     }
 }

@@ -5,11 +5,12 @@
 //! 1. **Overhead**: the metrics layer (lock-free histograms, packed
 //!    counters, inbox gauges) must be invisible next to real work. The
 //!    4-worker pooled-GRIS throughput row from the live-throughput
-//!    experiment is run twice — observability on vs off (the `Obs`
-//!    kill-switch strips every record call) — and the throughput delta
-//!    is reported. `--smoke` exits non-zero if the instrumented run is
-//!    more than 5% slower, which is how CI guards the query path against
-//!    accidentally expensive instrumentation.
+//!    experiment is run with observability on and off (the `Obs`
+//!    kill-switch strips every record call) in interleaved paired
+//!    rounds, and the delta between the two arms' median throughputs
+//!    is reported. `--smoke` exits non-zero if the instrumented median
+//!    is more than 5% slower, which is how CI guards the query path
+//!    against accidentally expensive instrumentation.
 //! 2. **Tracing**: a traced chained query through GIIS fan-out yields a
 //!    complete causal span tree (client -> giis.search -> chain leg ->
 //!    gris.search -> provider fetches), printed as collected from the
@@ -21,155 +22,63 @@
 //! With `--json PATH` the overhead numbers are also written as JSON for
 //! the benchmark snapshot script.
 
-use gis_bench::{banner, f2, section, Table};
+use gis_bench::{banner, computers, f2, median, section, Args, Json, ProbeFleet, Table};
 use gis_core::{LiveRuntime, ServeOptions, SimDeployment};
 use gis_giis::{Giis, GiisConfig, GiisMode};
-use gis_gris::{Gris, GrisConfig, InfoProvider, ProviderError};
 use gis_ldap::{Dn, Entry, Filter, LdapUrl};
-use gis_netsim::{SimDuration, SimTime};
+use gis_netsim::SimDuration;
 use gis_proto::metrics::monitoring_base;
 use gis_proto::SearchSpec;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Probe providers (= distinct query targets) in the overhead GRIS.
-const PROBE_COUNT: usize = 4;
-/// Entries each probe returns.
-const PROBE_ENTRIES: usize = 16;
-/// Wall-clock cost of one provider invocation.
-const PROBE_MS: u64 = 1;
+/// The overhead GRIS: 4 probe providers (= distinct query targets) of
+/// 16 entries, 1 ms per invocation. The workload is dominated by real
+/// (overlappable) work, exactly the regime where instrumentation must
+/// not show up.
+const FLEET: ProbeFleet = ProbeFleet {
+    sites: 4,
+    hosts: 16,
+    probe: Duration::from_millis(1),
+};
 /// Parallel clients driving the overhead runs.
 const CLIENTS: usize = 4;
 /// Queries per client per run.
 const QUERIES_PER_CLIENT: usize = 100;
 /// Query workers in the pooled GRIS (the "4-worker row").
 const WORKERS: usize = 4;
+/// Paired A/B rounds. One round's overhead spreads about ±15% on a
+/// shared 2-vCPU host; the median of 15 keeps a 0% true overhead under
+/// the gate.
+const ROUNDS: usize = 15;
 /// CI gate: maximum tolerated throughput loss from instrumentation.
 const MAX_OVERHEAD_PCT: f64 = 5.0;
-
-/// The slow, non-cacheable provider from the live-throughput experiment:
-/// every search pays one external-program invocation, so the workload is
-/// dominated by real (overlappable) work, exactly the regime where
-/// instrumentation must not show up.
-#[derive(Debug)]
-struct ProbeProvider {
-    namespace: Dn,
-    entries: Vec<Entry>,
-    probe: Duration,
-}
-
-impl ProbeProvider {
-    fn new(site: usize) -> ProbeProvider {
-        let namespace = Dn::parse(&format!("ou=site{site}, o=fleet")).expect("site dn");
-        let entries = (0..PROBE_ENTRIES)
-            .map(|i| {
-                Entry::new(Dn::parse(&format!("hn=h{i}, ou=site{site}, o=fleet")).expect("host dn"))
-                    .with_class("computer")
-                    .with("hn", format!("h{i}"))
-                    .with("cpucount", (2 + (i % 7)) as i64)
-            })
-            .collect();
-        ProbeProvider {
-            namespace,
-            entries,
-            probe: Duration::from_millis(PROBE_MS),
-        }
-    }
-}
-
-impl InfoProvider for ProbeProvider {
-    fn name(&self) -> &str {
-        "site-probe"
-    }
-    fn namespace(&self) -> &Dn {
-        &self.namespace
-    }
-    fn cache_ttl(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-    fn cacheable(&self) -> bool {
-        false
-    }
-    fn fetch(&mut self, _spec: &SearchSpec, _now: SimTime) -> Result<Vec<Entry>, ProviderError> {
-        std::thread::sleep(self.probe);
-        Ok(self.entries.clone())
-    }
-}
 
 /// One measured run of the 4-worker row with observability on or off.
 /// Returns sustained throughput in queries/second.
 fn measure(observability: bool) -> f64 {
-    let mut rt = LiveRuntime::new(Duration::from_millis(5));
-    let url = LdapUrl::server("gris.obs");
-    let mut config = GrisConfig::open(url.clone(), Dn::parse("o=fleet").expect("suffix"));
-    config.observability = observability;
-    let mut gris = Gris::new(
-        config,
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(180),
-    );
-    for site in 0..PROBE_COUNT {
-        gris.add_provider(Box::new(ProbeProvider::new(site)));
-    }
-    rt.spawn_gris(gris, ServeOptions::default().with_workers(WORKERS))
-        .unwrap();
-
-    let specs: Vec<SearchSpec> = (0..PROBE_COUNT)
-        .map(|site| {
-            SearchSpec::subtree(
-                Dn::parse(&format!("ou=site{site}, o=fleet")).expect("base"),
-                Filter::parse("(objectclass=computer)").expect("filter"),
-            )
-        })
-        .collect();
-    let mut warm = rt.client();
-    warm.request(&url, specs[0].clone())
-        .timeout(Duration::from_secs(10))
-        .send()
-        .outcome
-        .expect("warmup query");
-
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for i in 0..CLIENTS {
-        let mut client = rt.client();
-        let target = url.clone();
-        let spec = specs[i % specs.len()].clone();
-        handles.push(std::thread::spawn(move || {
-            let mut ok = 0usize;
-            for _ in 0..QUERIES_PER_CLIENT {
-                if client
-                    .request(&target, spec.clone())
-                    .timeout(Duration::from_secs(10))
-                    .send()
-                    .outcome
-                    .is_some()
-                {
-                    ok += 1;
-                }
-            }
-            ok
-        }));
-    }
-    let ok: usize = handles.into_iter().map(|h| h.join().expect("client")).sum();
-    let elapsed = start.elapsed().as_secs_f64();
-    rt.shutdown();
-    assert_eq!(ok, CLIENTS * QUERIES_PER_CLIENT, "no queries may be lost");
-    ok as f64 / elapsed
+    let run = FLEET.measure(WORKERS, CLIENTS, QUERIES_PER_CLIENT, observability);
+    assert_eq!(run.ok, run.total, "no queries may be lost");
+    run.qps
 }
 
 /// Interleaved A/B rounds: each round measures baseline and
-/// instrumented back-to-back (so frequency scaling and scheduler
-/// drift hit both arms alike), and the best round of each arm is
-/// kept. Sequential best-of blocks let a between-block drift show up
-/// as fake overhead on small machines.
+/// instrumented back-to-back, alternating which goes first, so
+/// frequency scaling and scheduler drift hit both arms alike. Returns
+/// each arm's median throughput: one slow (or lucky) run cannot decide
+/// the gate, as it could with best-of-n.
 fn ab_rounds(n: usize) -> (f64, f64) {
-    let mut base = f64::MIN;
-    let mut obs = f64::MIN;
-    for _ in 0..n {
-        base = base.max(measure(false));
-        obs = obs.max(measure(true));
+    let mut base = Vec::with_capacity(n);
+    let mut obs = Vec::with_capacity(n);
+    for round in 0..n {
+        if round % 2 == 0 {
+            base.push(measure(false));
+            obs.push(measure(true));
+        } else {
+            obs.push(measure(true));
+            base.push(measure(false));
+        }
     }
-    (base, obs)
+    (median(&base), median(&obs))
 }
 
 /// Demonstration deployment: a chaining GIIS over two standard hosts,
@@ -202,12 +111,8 @@ fn demo() -> (String, Vec<Entry>) {
     std::thread::sleep(Duration::from_millis(400));
 
     let mut client = rt.client();
-    let spec = SearchSpec::subtree(
-        Dn::root(),
-        Filter::parse("(objectclass=computer)").expect("filter"),
-    );
     let response = client
-        .request(&giis_url, spec)
+        .request(&giis_url, computers())
         .traced()
         .timeout(Duration::from_secs(5))
         .send();
@@ -229,24 +134,9 @@ fn demo() -> (String, Vec<Entry>) {
     (rendered, entries)
 }
 
-fn write_json(path: &str, base_qps: f64, obs_qps: f64, overhead_pct: f64) {
-    let body = format!(
-        "{{\n  \"workload\": \"pooled_gris_4_workers\",\n  \"clients\": {CLIENTS},\n  \
-         \"queries_per_client\": {QUERIES_PER_CLIENT},\n  \"probe_ms\": {PROBE_MS},\n  \
-         \"baseline_qps\": {base_qps:.2},\n  \"instrumented_qps\": {obs_qps:.2},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \"gate_pct\": {MAX_OVERHEAD_PCT:.1}\n}}\n"
-    );
-    std::fs::write(path, body).expect("write json");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::parse();
+    let smoke = args.smoke;
 
     banner(
         "OBS",
@@ -255,19 +145,29 @@ fn main() {
     );
 
     // 1. Overhead A/B on the 4-worker live-throughput row.
-    let rounds = if smoke { 3 } else { 4 };
-    let (base_qps, obs_qps) = ab_rounds(rounds);
+    let (base_qps, obs_qps) = ab_rounds(ROUNDS);
     let overhead_pct = (base_qps - obs_qps) / base_qps * 100.0;
-    let mut table = Table::new(&["configuration", "throughput (q/s)"]);
+    let mut table = Table::new(&["configuration", "median throughput (q/s)"]);
     table.row(vec!["observability off (baseline)".into(), f2(base_qps)]);
     table.row(vec!["observability on".into(), f2(obs_qps)]);
     table.row(vec!["overhead (%)".into(), f2(overhead_pct)]);
-    section("instrumentation overhead: pooled GRIS, 4 workers, 4 clients");
+    section(&format!(
+        "instrumentation overhead: pooled GRIS, 4 workers, 4 clients, \
+         medians of {ROUNDS} paired rounds"
+    ));
     table.print();
 
-    if let Some(path) = &json_path {
-        write_json(path, base_qps, obs_qps, overhead_pct);
-        println!("\njson written to {path}");
+    if let Some(path) = &args.json {
+        Json::new()
+            .str("workload", "pooled_gris_4_workers")
+            .num("clients", CLIENTS)
+            .num("queries_per_client", QUERIES_PER_CLIENT)
+            .num("probe_ms", FLEET.probe.as_millis())
+            .num("baseline_qps", f2(base_qps))
+            .num("instrumented_qps", f2(obs_qps))
+            .num("overhead_pct", f2(overhead_pct))
+            .num("gate_pct", format!("{MAX_OVERHEAD_PCT:.1}"))
+            .write(path);
     }
     if smoke {
         if overhead_pct > MAX_OVERHEAD_PCT {

@@ -32,8 +32,8 @@
 //! `--json PATH` dumps timings for `scripts/bench_snapshot.sh`;
 //! `--smoke` shrinks the sizes for CI.
 
-use gis_bench::{banner, f2, section, Table};
-use gis_core::{LiveClient, LiveRuntime, ServeOptions};
+use gis_bench::{banner, f2, section, warm, Args, Json, Table};
+use gis_core::{LiveRuntime, ServeOptions};
 use gis_giis::{Giis, GiisConfig, GiisMode};
 use gis_gris::HostSpec;
 use gis_ldap::{Dn, Entry, Filter, LdapUrl, SharedDit};
@@ -200,24 +200,8 @@ fn run_live_crash(dir: &std::path::Path) -> (usize, Duration) {
 
     let mut client = rt.client();
     let spec = SearchSpec::subtree(Dn::root(), Filter::always());
-    let query = |client: &mut LiveClient| {
-        client
-            .request(&giis_url, spec.clone())
-            .timeout(Duration::from_secs(5))
-            .send()
-            .outcome
-    };
     // Wait for registration + harvest to land.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let before = loop {
-        if let Some((_, entries, _)) = query(&mut client) {
-            if !entries.is_empty() {
-                break entries.len();
-            }
-        }
-        assert!(Instant::now() < deadline, "harvest never converged");
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let before = warm(&mut client, &giis_url, &spec, 1);
 
     // Kill child and directory; respawn the directory alone.
     rt.kill_service(&gris_url);
@@ -226,7 +210,12 @@ fn run_live_crash(dir: &std::path::Path) -> (usize, Duration) {
     let t0 = Instant::now();
     rt.spawn_giis(harvest_giis(), ServeOptions::default().persist(dir))
         .expect("respawn giis");
-    let (_, after, _) = query(&mut client).expect("recovered directory answers");
+    let (_, after, _) = client
+        .request(&giis_url, spec)
+        .timeout(Duration::from_secs(5))
+        .send()
+        .outcome
+        .expect("recovered directory answers");
     let recover = t0.elapsed();
     assert_eq!(after.len(), before, "recovered rows != pre-crash rows");
     rt.shutdown();
@@ -407,38 +396,9 @@ fn run_restart(n: usize, wal_n: usize) -> (f64, f64, f64) {
     (write_s, load_s, replay_s)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    n: usize,
-    wal_n: usize,
-    write_s: f64,
-    load_s: f64,
-    replay_s: f64,
-    storm_ms: f64,
-    recover_ms: f64,
-    live_recover_ms: f64,
-    kill_cases: usize,
-) {
-    let body = format!(
-        "{{\n  \"entries\": {n},\n  \"snapshot_write_s\": {write_s:.4},\n  \
-         \"snapshot_load_s\": {load_s:.4},\n  \"wal_records\": {wal_n},\n  \
-         \"wal_replay_s\": {replay_s:.4},\n  \"storm_rebuild_ms\": {storm_ms:.2},\n  \
-         \"journal_recover_ms\": {recover_ms:.2},\n  \
-         \"live_recover_to_serve_ms\": {live_recover_ms:.2},\n  \
-         \"kill_matrix_cases\": {kill_cases}\n}}\n"
-    );
-    std::fs::write(path, body).expect("write json");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::parse();
+    let smoke = args.smoke;
     let (n, wal_n, storm_n, ceiling) = if smoke {
         (
             SMOKE_ENTRIES,
@@ -532,19 +492,19 @@ fn main() {
         f2(FULL_TARGET_S)
     );
 
-    if let Some(path) = json_path {
-        write_json(
-            &path,
-            n,
-            wal_n,
-            write_s,
-            load_s,
-            replay_s,
-            storm.as_secs_f64() * 1e3,
-            recover.as_secs_f64() * 1e3,
-            live_recover.as_secs_f64() * 1e3,
-            kill_cases,
-        );
-        println!("\njson written to {path}");
+    if let Some(path) = &args.json {
+        let ms = |d: Duration| f2(d.as_secs_f64() * 1e3);
+        let s4 = |v: f64| format!("{v:.4}");
+        Json::new()
+            .num("entries", n)
+            .num("snapshot_write_s", s4(write_s))
+            .num("snapshot_load_s", s4(load_s))
+            .num("wal_records", wal_n)
+            .num("wal_replay_s", s4(replay_s))
+            .num("storm_rebuild_ms", ms(storm))
+            .num("journal_recover_ms", ms(recover))
+            .num("live_recover_to_serve_ms", ms(live_recover))
+            .num("kill_matrix_cases", kill_cases)
+            .write(path);
     }
 }

@@ -28,14 +28,13 @@
 //! `--json PATH` dumps the rows for `scripts/bench_snapshot.sh`;
 //! `--smoke` shrinks the run for CI.
 
-use gis_bench::{banner, f2, section, Table};
+use gis_bench::{banner, computers, drive, f2, section, warm, Args, Json, Table};
 use gis_core::{LiveClient, LiveRuntime, ServeOptions, SimDeployment};
 use gis_giis::{Giis, GiisConfig, GiisMode};
-use gis_ldap::{Dn, Filter, LdapUrl};
+use gis_ldap::{Dn, LdapUrl};
 use gis_netsim::SimDuration;
 use gis_proto::SearchSpec;
-use std::net::TcpListener;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Loopback hops per measured configuration.
 const QUERIES_PER_CLIENT: usize = 800;
@@ -46,174 +45,53 @@ const GRIS_COUNT: usize = 2;
 /// same driver, the channel side simply has nothing to overlap.
 const DEPTH: usize = 8;
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-struct Run {
-    qps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    ok: usize,
-    total: usize,
-}
-
-struct JsonRow {
-    transport: &'static str,
-    workload: &'static str,
-    run: Run,
-}
-
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind ephemeral")
-        .local_addr()
-        .unwrap()
-        .port()
-}
-
-/// A chaining GIIS plus `GRIS_COUNT` static-host GRIS. `ports` empty =
-/// channel transport; otherwise one port per service (GIIS first).
-fn build(ports: &[u16]) -> (LiveRuntime, LdapUrl, LdapUrl) {
-    let tcp = !ports.is_empty();
+/// A chaining GIIS plus `GRIS_COUNT` static-host GRIS, every one on an
+/// ephemeral `tcp://127.0.0.1:0` port or in-process. Returns the served
+/// GIIS and first GRIS URLs.
+fn build(tcp: bool) -> (LiveRuntime, LdapUrl, LdapUrl) {
     let mut rt = LiveRuntime::new(Duration::from_millis(5));
     let vo_url = if tcp {
-        LdapUrl::tcp("127.0.0.1", ports[0])
+        LdapUrl::tcp("127.0.0.1", 0)
     } else {
         LdapUrl::server("giis.loopback")
     };
-    let opts = if tcp {
-        ServeOptions::tcp()
-    } else {
-        ServeOptions::channel()
-    };
     let mut giis = Giis::new(
-        GiisConfig::chaining(vo_url.clone(), Dn::root()),
+        GiisConfig::chaining(vo_url, Dn::root()),
         SimDuration::from_millis(200),
         SimDuration::from_secs(5),
     );
     giis.config.mode = GiisMode::Chain {
         timeout: SimDuration::from_millis(1000),
     };
-    rt.spawn_giis(giis, opts.clone()).expect("spawn giis");
-    let mut gris0_url = None;
+    let vo_url = rt
+        .spawn_giis(giis, ServeOptions::default())
+        .expect("spawn giis");
+    let mut gris_urls = Vec::new();
     for i in 0..GRIS_COUNT {
         let host = gis_gris::HostSpec::linux(&format!("lb{i}"), 2);
         let mut gris = SimDeployment::standard_host_gris(&host, i as u64);
         if tcp {
-            // Rebind both the serving URL and the URL the registration
-            // agent advertises: the agent snapshots config.url at
-            // construction, and a stale ldap:// advert would make the
-            // GIIS chain into the void.
-            gris.config.url = LdapUrl::tcp("127.0.0.1", ports[i + 1]);
-            gris.agent.service_url = gris.config.url.clone();
+            // The runtime binds the port and re-points the
+            // registration agent's advert at it.
+            gris.config.url = LdapUrl::tcp("127.0.0.1", 0);
         }
         gris.agent.interval = SimDuration::from_millis(200);
         gris.agent.ttl = SimDuration::from_secs(5);
         gris.agent.add_target(vo_url.clone());
-        if i == 0 {
-            gris0_url = Some(gris.config.url.clone());
-        }
-        rt.spawn_gris(gris, opts.clone()).expect("spawn gris");
-    }
-    (rt, vo_url, gris0_url.expect("gris0"))
-}
-
-/// Wait until the VO view has every host (registrations done).
-fn warm(client: &mut LiveClient, vo: &LdapUrl) {
-    let spec = SearchSpec::subtree(
-        Dn::root(),
-        Filter::parse("(objectclass=computer)").expect("filter"),
-    );
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let outcome = client
-            .request(vo, spec.clone())
-            .timeout(Duration::from_secs(2))
-            .send()
-            .outcome;
-        if let Some((_, entries, _)) = &outcome {
-            if entries.len() >= GRIS_COUNT {
-                return;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "topology never converged; last outcome: {outcome:?}"
+        gris_urls.push(
+            rt.spawn_gris(gris, ServeOptions::default())
+                .expect("spawn gris"),
         );
-        std::thread::sleep(Duration::from_millis(50));
     }
+    (rt, vo_url, gris_urls.swap_remove(0))
 }
 
-/// One thread per pre-minted client (its own TCP connection when
-/// remote), hammering `target` with `spec` in depth-[`DEPTH`] pipelined
-/// batches. Latency samples are amortized per query within a batch.
-fn drive(clients: Vec<LiveClient>, target: &LdapUrl, spec: &SearchSpec, queries: usize) -> Run {
-    let total = clients.len() * queries;
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for mut client in clients {
-        let target = target.clone();
-        let specs: Vec<SearchSpec> = (0..queries).map(|_| spec.clone()).collect();
-        handles.push(std::thread::spawn(move || {
-            let mut lats = Vec::with_capacity(queries);
-            let mut ok = 0;
-            for batch in specs.chunks(DEPTH) {
-                let t0 = Instant::now();
-                let outcomes =
-                    client.search_pipelined(&target, batch, DEPTH, Duration::from_secs(10));
-                let per_query = t0.elapsed().as_secs_f64() * 1e6 / batch.len() as f64;
-                for outcome in &outcomes {
-                    if outcome.is_some() {
-                        ok += 1;
-                        lats.push(per_query);
-                    }
-                }
-            }
-            (ok, lats)
-        }));
-    }
-    let mut lats = Vec::new();
-    let mut ok = 0;
-    for h in handles {
-        let (o, l) = h.join().expect("client thread");
-        ok += o;
-        lats.extend(l);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Run {
-        qps: ok as f64 / elapsed,
-        p50_us: percentile(&lats, 0.50),
-        p99_us: percentile(&lats, 0.99),
-        ok,
-        total,
-    }
-}
-
-fn measure(
-    transport: &'static str,
-    queries: usize,
-    table: &mut Table,
-    json_rows: &mut Vec<JsonRow>,
-) {
+fn measure(transport: &'static str, queries: usize, table: &mut Table, json_rows: &mut Vec<Json>) {
     let tcp = transport == "tcp";
-    let ports: Vec<u16> = if tcp {
-        (0..=GRIS_COUNT).map(|_| free_port()).collect()
-    } else {
-        Vec::new()
-    };
-    let (rt, vo_url, gris0_url) = build(&ports);
+    let (rt, vo_url, gris0_url) = build(tcp);
 
     let lookup_spec = SearchSpec::lookup(Dn::parse("hn=lb0").expect("dn"));
-    let chained_spec = SearchSpec::subtree(
-        Dn::root(),
-        Filter::parse("(objectclass=computer)").expect("filter"),
-    );
+    let chained_spec = computers();
     // A TCP client is pinned to its connected endpoint, so each
     // workload dials the service it measures.
     let mint = |url: &LdapUrl| -> LiveClient {
@@ -223,14 +101,13 @@ fn measure(
             rt.client()
         }
     };
-    let mut warm_client = mint(&vo_url);
-    warm(&mut warm_client, &vo_url);
+    warm(&mut mint(&vo_url), &vo_url, &chained_spec, GRIS_COUNT);
     for (workload, target, spec) in [
         ("direct_lookup", &gris0_url, &lookup_spec),
         ("chained_discovery", &vo_url, &chained_spec),
     ] {
         let clients: Vec<LiveClient> = (0..CLIENTS).map(|_| mint(target)).collect();
-        let r = drive(clients, target, spec, queries);
+        let r = drive(clients, target, std::slice::from_ref(spec), queries, DEPTH);
         table.row(vec![
             transport.into(),
             workload.into(),
@@ -239,50 +116,19 @@ fn measure(
             f2(r.p99_us),
             format!("{}/{}", r.ok, r.total),
         ]);
-        json_rows.push(JsonRow {
-            transport,
-            workload,
-            run: r,
-        });
+        json_rows.push(
+            Json::new()
+                .str("transport", transport)
+                .str("workload", workload)
+                .run(&r),
+        );
     }
     rt.shutdown();
 }
 
-fn write_json(path: &str, queries: usize, rows: &[JsonRow]) {
-    let mut body = String::from("{\n  \"clients\": ");
-    body.push_str(&CLIENTS.to_string());
-    body.push_str(",\n  \"queries_per_client\": ");
-    body.push_str(&queries.to_string());
-    body.push_str(",\n  \"gris_count\": ");
-    body.push_str(&GRIS_COUNT.to_string());
-    body.push_str(",\n  \"runs\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"workload\": \"{}\", \"qps\": {:.2}, \
-             \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"ok\": {}, \"total\": {}}}{}\n",
-            row.transport,
-            row.workload,
-            row.run.qps,
-            row.run.p50_us,
-            row.run.p99_us,
-            row.run.ok,
-            row.run.total,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(path, body).expect("write json");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let queries = if smoke {
+    let args = Args::parse();
+    let queries = if args.smoke {
         SMOKE_QUERIES
     } else {
         QUERIES_PER_CLIENT
@@ -320,8 +166,12 @@ fn main() {
          queries complete on both transports."
     );
 
-    if let Some(path) = json_path {
-        write_json(&path, queries, &json_rows);
-        println!("\njson written to {path}");
+    if let Some(path) = &args.json {
+        Json::new()
+            .num("clients", CLIENTS)
+            .num("queries_per_client", queries)
+            .num("gris_count", GRIS_COUNT)
+            .rows("runs", &json_rows)
+            .write(path);
     }
 }

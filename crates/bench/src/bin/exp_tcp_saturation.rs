@@ -28,14 +28,14 @@
 //! under `GIS_SAT_TAX_CEILING` (default 2.2), and the WAN speedup at
 //! depth 8 must stay above `GIS_SAT_MIN_SPEEDUP` (default 2.0).
 
-use gis_bench::{banner, f2, section, Table};
+use gis_bench::{banner, drive, f2, section, Args, Json, Run, Table};
 use gis_core::{LiveClient, LiveRuntime, ServeOptions, SimDeployment};
 use gis_ldap::{Dn, LdapUrl};
 use gis_netsim::SimDuration;
 use gis_proto::SearchSpec;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CONNS: [usize; 3] = [1, 2, 4];
 const DEPTHS: [usize; 2] = [1, 8];
@@ -48,40 +48,28 @@ const WAN_ONE_WAY: Duration = Duration::from_micros(200);
 const DEFAULT_TAX_CEILING: f64 = 2.2;
 const DEFAULT_MIN_SPEEDUP: f64 = 2.0;
 
+/// One measured row: client connections, in-flight depth, and what
+/// the driver saw.
 struct Row {
     conns: usize,
     depth: usize,
-    qps: f64,
-    ok: usize,
-    total: usize,
+    run: Run,
 }
 
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind ephemeral")
-        .local_addr()
-        .unwrap()
-        .port()
-}
-
-/// One static-host GRIS on the given transport; returns its URL.
+/// One static-host GRIS, on an ephemeral loopback port or in-process;
+/// returns its served URL.
 fn build(tcp: bool) -> (LiveRuntime, LdapUrl) {
     let mut rt = LiveRuntime::new(Duration::from_millis(5));
     let host = gis_gris::HostSpec::linux("sat0", 2);
     let mut gris = SimDeployment::standard_host_gris(&host, 0);
     if tcp {
-        gris.config.url = LdapUrl::tcp("127.0.0.1", free_port());
-        gris.agent.service_url = gris.config.url.clone();
+        gris.config.url = LdapUrl::tcp("127.0.0.1", 0);
     }
     gris.agent.interval = SimDuration::from_millis(500);
     gris.agent.ttl = SimDuration::from_secs(5);
-    let url = gris.config.url.clone();
-    let opts = if tcp {
-        ServeOptions::tcp()
-    } else {
-        ServeOptions::channel()
-    };
-    rt.spawn_gris(gris, opts).expect("spawn gris");
+    let url = rt
+        .spawn_gris(gris, ServeOptions::default())
+        .expect("spawn gris");
     (rt, url)
 }
 
@@ -131,98 +119,36 @@ fn spawn_wan_link(upstream: SocketAddr, delay: Duration) -> u16 {
     port
 }
 
-/// `conns` threads, each with its own client (its own TCP connection
-/// when remote), each pushing `queries` lookups at `depth` in flight.
-fn drive(clients: Vec<LiveClient>, target: &LdapUrl, depth: usize, queries: usize) -> Row {
-    let conns = clients.len();
+/// `clients.len()` connections, each pushing `queries` lookups at
+/// `depth` in flight.
+fn measure(clients: Vec<LiveClient>, target: &LdapUrl, depth: usize, queries: usize) -> Row {
     let spec = SearchSpec::lookup(Dn::parse("hn=sat0").expect("dn"));
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for mut client in clients {
-        let target = target.clone();
-        let specs: Vec<SearchSpec> = (0..queries).map(|_| spec.clone()).collect();
-        handles.push(std::thread::spawn(move || {
-            let outcomes = client.search_pipelined(&target, &specs, depth, Duration::from_secs(60));
-            // Complete = a definite reply arrived for the lookup.
-            outcomes.iter().filter(|o| o.is_some()).count()
-        }));
-    }
-    let ok: usize = handles.into_iter().map(|h| h.join().expect("conn")).sum();
-    let elapsed = start.elapsed().as_secs_f64();
     Row {
-        conns,
+        conns: clients.len(),
         depth,
-        qps: ok as f64 / elapsed,
-        ok,
-        total: conns * queries,
+        run: drive(clients, target, &[spec], queries, depth),
     }
 }
 
 fn find_qps(rows: &[Row], conns: usize, depth: usize) -> f64 {
     rows.iter()
         .find(|r| r.conns == conns && r.depth == depth)
-        .map(|r| r.qps)
+        .map(|r| r.run.qps)
         .unwrap_or(0.0)
 }
 
-fn write_json(path: &str, queries: usize, channel_qps: f64, loopback: &[Row], wan: &[Row]) {
-    let speedup = |depth: usize| -> f64 {
-        let base = find_qps(wan, 1, 1);
-        if base > 0.0 {
-            find_qps(wan, 1, depth) / base
-        } else {
-            0.0
-        }
-    };
-    let row_json = |r: &Row, last: bool| -> String {
-        format!(
-            "    {{\"conns\": {}, \"depth\": {}, \"qps\": {:.2}, \"ok\": {}, \"total\": {}}}{}\n",
-            r.conns,
-            r.depth,
-            r.qps,
-            r.ok,
-            r.total,
-            if last { "" } else { "," },
-        )
-    };
-    let mut body = String::from("{\n  \"queries_per_conn\": ");
-    body.push_str(&queries.to_string());
-    body.push_str(&format!(",\n  \"channel_qps\": {channel_qps:.2}"));
-    body.push_str(&format!(
-        ",\n  \"wan_one_way_us\": {}",
-        WAN_ONE_WAY.as_micros()
-    ));
-    body.push_str(",\n  \"loopback_runs\": [\n");
-    for (i, r) in loopback.iter().enumerate() {
-        body.push_str(&row_json(r, i + 1 == loopback.len()));
-    }
-    body.push_str("  ],\n  \"wan_runs\": [\n");
-    for (i, r) in wan.iter().enumerate() {
-        body.push_str(&row_json(r, i + 1 == wan.len()));
-    }
-    let best_tax = loopback
-        .iter()
-        .filter(|r| r.conns == 1 && r.qps > 0.0)
-        .map(|r| channel_qps / r.qps)
-        .fold(f64::INFINITY, f64::min);
-    body.push_str(&format!(
-        "  ],\n  \"derived\": {{\"mux_speedup_depth8\": {:.3}, \"mux_speedup_depth32\": {:.3}, \
-         \"best_single_conn_wire_tax\": {:.3}}}\n}}\n",
-        speedup(8),
-        speedup(32),
-        best_tax,
-    ));
-    std::fs::write(path, body).expect("write json");
+fn row_json(r: &Row) -> Json {
+    Json::new()
+        .num("conns", r.conns)
+        .num("depth", r.depth)
+        .num("qps", f2(r.run.qps))
+        .num("ok", r.run.ok)
+        .num("total", r.run.total)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::parse();
+    let smoke = args.smoke;
     let queries = if smoke {
         SMOKE_QUERIES
     } else {
@@ -244,9 +170,9 @@ fn main() {
 
     // In-process floor: one client, sequential, zero serialization.
     let (chan_rt, chan_url) = build(false);
-    let chan = drive(vec![chan_rt.client()], &chan_url, 1, queries);
+    let chan = measure(vec![chan_rt.client()], &chan_url, 1, queries);
     chan_rt.shutdown();
-    let channel_qps = chan.qps;
+    let channel_qps = chan.run.qps;
     println!(
         "channel floor: {} q/s (sequential, in-process)\n",
         f2(channel_qps)
@@ -261,13 +187,13 @@ fn main() {
             let clients: Vec<LiveClient> = (0..conns)
                 .map(|_| LiveClient::builder(&url).connect().expect("connect"))
                 .collect();
-            let r = drive(clients, &url, depth, queries);
+            let r = measure(clients, &url, depth, queries);
             loopback_table.row(vec![
                 r.conns.to_string(),
                 r.depth.to_string(),
-                f2(r.qps),
-                f2(channel_qps / r.qps),
-                format!("{}/{}", r.ok, r.total),
+                f2(r.run.qps),
+                f2(channel_qps / r.run.qps),
+                format!("{}/{}", r.run.ok, r.run.total),
             ]);
             loopback_rows.push(r);
         }
@@ -282,12 +208,16 @@ fn main() {
         let client = LiveClient::builder(&wan_url)
             .connect()
             .expect("connect wan");
-        let r = drive(vec![client], &wan_url, depth, queries);
+        let r = measure(vec![client], &wan_url, depth, queries);
         wan_table.row(vec![
             r.depth.to_string(),
-            f2(r.qps),
-            f2(if r.qps > 0.0 { 1e6 / r.qps } else { 0.0 }),
-            format!("{}/{}", r.ok, r.total),
+            f2(r.run.qps),
+            f2(if r.run.qps > 0.0 {
+                1e6 / r.run.qps
+            } else {
+                0.0
+            }),
+            format!("{}/{}", r.run.ok, r.run.total),
         ]);
         wan_rows.push(r);
     }
@@ -304,12 +234,14 @@ fn main() {
     section("results: emulated WAN, single connection");
     wan_table.print();
     let wan_base = find_qps(&wan_rows, 1, 1);
-    let wan_d8 = find_qps(&wan_rows, 1, 8);
-    let speedup8 = if wan_base > 0.0 {
-        wan_d8 / wan_base
-    } else {
-        0.0
+    let speedup = |depth: usize| {
+        if wan_base > 0.0 {
+            find_qps(&wan_rows, 1, depth) / wan_base
+        } else {
+            0.0
+        }
     };
+    let speedup8 = speedup(8);
     println!(
         "\ndepth 1 pays the full {}us round trip per query; a depth-8\n\
          pipeline coalesces requests into one segment and pays it per\n\
@@ -318,17 +250,41 @@ fn main() {
         speedup8
     );
 
-    if let Some(path) = &json_path {
-        write_json(path, queries, channel_qps, &loopback_rows, &wan_rows);
-        println!("\njson written to {path}");
+    let best_tax = loopback_rows
+        .iter()
+        .filter(|r| r.conns == 1 && r.run.qps > 0.0)
+        .map(|r| channel_qps / r.run.qps)
+        .fold(f64::INFINITY, f64::min);
+    if let Some(path) = &args.json {
+        let loopback: Vec<Json> = loopback_rows.iter().map(row_json).collect();
+        let wan: Vec<Json> = wan_rows.iter().map(row_json).collect();
+        Json::new()
+            .num("queries_per_conn", queries)
+            .num("channel_qps", f2(channel_qps))
+            .num("wan_one_way_us", WAN_ONE_WAY.as_micros())
+            .rows("loopback_runs", &loopback)
+            .rows("wan_runs", &wan)
+            .obj(
+                "derived",
+                Json::new()
+                    .num("mux_speedup_depth8", format!("{:.3}", speedup8))
+                    .num("mux_speedup_depth32", format!("{:.3}", speedup(32)))
+                    .num("best_single_conn_wire_tax", format!("{best_tax:.3}")),
+            )
+            .write(path);
     }
 
     if smoke {
         let incomplete: Vec<String> = loopback_rows
             .iter()
             .chain(wan_rows.iter())
-            .filter(|r| r.ok != r.total)
-            .map(|r| format!("conns={} depth={}: {}/{}", r.conns, r.depth, r.ok, r.total))
+            .filter(|r| r.run.ok != r.run.total)
+            .map(|r| {
+                format!(
+                    "conns={} depth={}: {}/{}",
+                    r.conns, r.depth, r.run.ok, r.run.total
+                )
+            })
             .collect();
         assert!(
             incomplete.is_empty(),
@@ -338,11 +294,6 @@ fn main() {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(DEFAULT_TAX_CEILING);
-        let best_tax = loopback_rows
-            .iter()
-            .filter(|r| r.conns == 1 && r.qps > 0.0)
-            .map(|r| channel_qps / r.qps)
-            .fold(f64::INFINITY, f64::min);
         assert!(
             best_tax <= ceiling,
             "saturation smoke: best single-connection wire tax is {best_tax:.2}, \

@@ -27,7 +27,7 @@
 //! `--json PATH` dumps the rows for `scripts/bench_snapshot.sh`;
 //! `--smoke` shrinks the run for CI.
 
-use gis_bench::{banner, f2, section, Table};
+use gis_bench::{banner, computers, drive, f2, section, warm, Args, Json, Run, Table};
 use gis_core::{LiveClient, LiveRuntime, ServeOptions};
 use gis_giis::{BreakerConfig, Giis, GiisConfig, GiisMode};
 use gis_gris::{Gris, GrisConfig, HostSpec, StaticHostProvider};
@@ -35,7 +35,6 @@ use gis_gsi::{Acl, CertAuthority, Grant, PolicyMap, Principal, SecurityPolicy, T
 use gis_ldap::{Dn, Filter, LdapUrl};
 use gis_netsim::SimDuration;
 use gis_proto::{ResultCode, SearchSpec};
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 const QUERIES: usize = 400;
@@ -46,34 +45,6 @@ const ACL_TAX_CEILING: f64 = 0.10;
 /// Absolute-noise floor: loopback p50s this close together are within
 /// scheduler jitter, whatever the ratio says.
 const ACL_TAX_FLOOR_US: f64 = 150.0;
-
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind ephemeral")
-        .local_addr()
-        .unwrap()
-        .port()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-fn computers() -> SearchSpec {
-    SearchSpec::subtree(Dn::root(), Filter::parse("(objectclass=computer)").unwrap())
-}
-
-struct Run {
-    qps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    ok: usize,
-    total: usize,
-}
 
 /// A GRIS with fully static entries, carrying `security` as both its
 /// endpoint posture and its registration-signing credential.
@@ -103,81 +74,42 @@ fn matrix_giis(vo: LdapUrl) -> Giis {
     giis
 }
 
-/// Poll until the VO search returns `want` entries with `Success`.
-fn warm(client: &mut LiveClient, vo: &LdapUrl, want: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let outcome = client
-            .request(vo, computers())
-            .timeout(Duration::from_secs(2))
-            .send()
-            .outcome;
-        if let Some((ResultCode::Success, entries, _)) = &outcome {
-            if entries.len() >= want {
-                return;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "topology never converged to {want} entries; last outcome: {outcome:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+/// An ephemeral loopback URL; the runtime binds it and returns the
+/// served one.
+fn loopback() -> LdapUrl {
+    LdapUrl::tcp("127.0.0.1", 0)
 }
 
-/// Sequential timed queries — the steady-state per-request view, with
-/// the handshake already paid.
-fn drive(client: &mut LiveClient, target: &LdapUrl, queries: usize) -> Run {
-    let mut lats = Vec::with_capacity(queries);
-    let mut ok = 0;
-    let start = Instant::now();
-    for _ in 0..queries {
-        let t0 = Instant::now();
-        let outcome = client
-            .request(target, computers())
-            .timeout(Duration::from_secs(5))
-            .send()
-            .outcome;
-        if matches!(outcome, Some((ResultCode::Success, _, _))) {
-            ok += 1;
-            lats.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Run {
-        qps: ok as f64 / elapsed,
-        p50_us: percentile(&lats, 0.50),
-        p99_us: percentile(&lats, 0.99),
-        ok,
-        total: queries,
-    }
+/// Converge, then time `queries` sequential queries on `client` — the
+/// steady-state per-request view, with the handshake already paid.
+fn warm_and_drive(mut client: LiveClient, vo: &LdapUrl, queries: usize) -> Run {
+    warm(&mut client, vo, &computers(), GRIS_COUNT);
+    drive(vec![client], vo, &[computers()], queries, 1)
 }
 
 /// §7 row 1: no handshake anywhere, everyone anonymous.
 fn row_anonymous(queries: usize) -> Run {
     let mut rt = LiveRuntime::new(Duration::from_millis(10));
-    let vo = LdapUrl::tcp("127.0.0.1", free_port());
-    rt.spawn_giis(matrix_giis(vo.clone()), ServeOptions::tcp())
+    let vo = rt
+        .spawn_giis(matrix_giis(loopback()), ServeOptions::tcp())
         .expect("open giis binds");
     for i in 0..GRIS_COUNT {
         let gris = matrix_gris(
             &format!("open{i}"),
-            LdapUrl::tcp("127.0.0.1", free_port()),
+            loopback(),
             &vo,
             SecurityPolicy::anonymous(),
         );
         rt.spawn_gris(gris, ServeOptions::tcp()).expect("open gris");
     }
-    let mut client = LiveClient::builder(&vo)
+    let client = LiveClient::builder(&vo)
         .connect()
         .expect("anonymous connect");
     assert!(
         client.handshake_rtt().is_none(),
         "anonymous connect performs no handshake"
     );
-    warm(&mut client, &vo, GRIS_COUNT);
-    let run = drive(&mut client, &vo, queries);
+    let run = warm_and_drive(client, &vo, queries);
     rt.shutdown();
     run
 }
@@ -197,23 +129,23 @@ fn secured_topology(
         ca.issue("/O=Grid/CN=mesh"),
         trust.clone(),
     ));
-    let vo = LdapUrl::tcp("127.0.0.1", free_port());
     let identity = policy_map.is_some();
-    let mut giis_policy = SecurityPolicy::authenticated(ca.issue(vo.to_string()), trust.clone());
-    if let Some(map) = policy_map {
-        giis_policy =
-            SecurityPolicy::identity(ca.issue(vo.to_string()), trust.clone()).with_policy_map(map);
-    }
-    rt.spawn_giis(
-        matrix_giis(vo.clone()),
-        ServeOptions::tcp().security(giis_policy),
-    )
-    .expect("secured giis binds");
+    let giis_cred = ca.issue("/O=Grid/CN=giis");
+    let giis_policy = match policy_map {
+        Some(map) => SecurityPolicy::identity(giis_cred, trust.clone()).with_policy_map(map),
+        None => SecurityPolicy::authenticated(giis_cred, trust.clone()),
+    };
+    let vo = rt
+        .spawn_giis(
+            matrix_giis(loopback()),
+            ServeOptions::tcp().security(giis_policy),
+        )
+        .expect("secured giis binds");
     for i in 0..GRIS_COUNT {
         let name = format!("{}{i}", if identity { "idn" } else { "sec" });
         let gris = matrix_gris(
             &name,
-            LdapUrl::tcp("127.0.0.1", free_port()),
+            loopback(),
             &vo,
             SecurityPolicy::authenticated(ca.issue(format!("/O=Grid/CN={name}")), trust.clone()),
         );
@@ -226,7 +158,7 @@ fn secured_topology(
 /// §7 row 2: mutual auth on every hop, open ACLs for whoever passes.
 fn row_authenticated(ca: &CertAuthority, trust: &TrustStore, queries: usize) -> (Run, f64) {
     let (rt, vo) = secured_topology(ca, trust, None);
-    let mut client = LiveClient::builder(&vo)
+    let client = LiveClient::builder(&vo)
         .security(SecurityPolicy::authenticated(
             ca.issue("/O=Grid/CN=client"),
             trust.clone(),
@@ -238,8 +170,7 @@ fn row_authenticated(ca: &CertAuthority, trust: &TrustStore, queries: usize) -> 
         .expect("handshake measured")
         .as_secs_f64()
         * 1e6;
-    warm(&mut client, &vo, GRIS_COUNT);
-    let run = drive(&mut client, &vo, queries);
+    let run = warm_and_drive(client, &vo, queries);
     assert_eq!(run.ok, run.total, "authenticated tier serves every query");
     rt.shutdown();
     (run, rtt_us)
@@ -255,15 +186,14 @@ fn row_identity(ca: &CertAuthority, trust: &TrustStore, queries: usize) -> (Run,
         .with_rule(Principal::Subject("/O=Grid/CN=admin".into()), Grant::All);
     let (rt, vo) = secured_topology(ca, trust, Some(PolicyMap::with_default(acl)));
 
-    let mut admin = LiveClient::builder(&vo)
+    let admin = LiveClient::builder(&vo)
         .security(SecurityPolicy::authenticated(
             ca.issue("/O=Grid/CN=admin"),
             trust.clone(),
         ))
         .connect()
         .expect("admin connects");
-    warm(&mut admin, &vo, GRIS_COUNT);
-    let run = drive(&mut admin, &vo, queries);
+    let run = warm_and_drive(admin, &vo, queries);
     assert_eq!(run.ok, run.total, "admin is served every query");
 
     // A different authenticated subject: same handshake, same wire,
@@ -346,7 +276,7 @@ fn row_rejected(ca: &CertAuthority, trust: &TrustStore) -> (String, u64) {
         .expect("open giis");
     let gris = matrix_gris(
         "fortress",
-        LdapUrl::tcp("127.0.0.1", free_port()),
+        loopback(),
         &vo,
         SecurityPolicy::authenticated(ca.issue("/O=Grid/CN=fortress"), trust.clone()),
     );
@@ -378,47 +308,9 @@ fn row_rejected(ca: &CertAuthority, trust: &TrustStore) -> (String, u64) {
     (reject, opens)
 }
 
-fn write_json(
-    path: &str,
-    queries: usize,
-    rows: &[(&str, &Run)],
-    handshake_rtt_us: f64,
-    acl_filter_tax: f64,
-    breaker_opens: u64,
-) {
-    let mut body = String::from("{\n  \"queries\": ");
-    body.push_str(&queries.to_string());
-    body.push_str(",\n  \"gris_count\": ");
-    body.push_str(&GRIS_COUNT.to_string());
-    body.push_str(&format!(
-        ",\n  \"handshake_rtt_us\": {handshake_rtt_us:.2},\n  \"acl_filter_tax\": {acl_filter_tax:.4},\n  \"breaker_opens\": {breaker_opens},\n  \"rows\": [\n"
-    ));
-    for (i, (tier, run)) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"tier\": \"{}\", \"qps\": {:.2}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
-             \"ok\": {}, \"total\": {}}}{}\n",
-            tier,
-            run.qps,
-            run.p50_us,
-            run.p99_us,
-            run.ok,
-            run.total,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(path, body).expect("write json");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let queries = if smoke { SMOKE_QUERIES } else { QUERIES };
+    let args = Args::parse();
+    let queries = if args.smoke { SMOKE_QUERIES } else { QUERIES };
 
     banner(
         "TRUST",
@@ -500,19 +392,22 @@ fn main() {
         acl_filter_tax * 100.0,
     );
 
-    if let Some(path) = json_path {
-        write_json(
-            &path,
-            queries,
-            &[
-                ("anonymous", &anon),
-                ("authenticated", &auth),
-                ("identity", &ident),
-            ],
-            handshake_rtt_us,
-            acl_filter_tax,
-            breaker_opens,
-        );
-        println!("\njson written to {path}");
+    if let Some(path) = &args.json {
+        let rows: Vec<Json> = [
+            ("anonymous", &anon),
+            ("authenticated", &auth),
+            ("identity", &ident),
+        ]
+        .iter()
+        .map(|(tier, run)| Json::new().str("tier", tier).run(run))
+        .collect();
+        Json::new()
+            .num("queries", queries)
+            .num("gris_count", GRIS_COUNT)
+            .num("handshake_rtt_us", f2(handshake_rtt_us))
+            .num("acl_filter_tax", format!("{acl_filter_tax:.4}"))
+            .num("breaker_opens", breaker_opens)
+            .rows("rows", &rows)
+            .write(path);
     }
 }

@@ -2,9 +2,14 @@
 //!
 //! Each binary under `src/bin/` regenerates one paper artifact (figure or
 //! argued tradeoff); see DESIGN.md §4 for the index and EXPERIMENTS.md
-//! for recorded paper-vs-measured outcomes.
+//! for recorded paper-vs-measured outcomes. The wall-clock ones share
+//! one load driver, [`load`].
 
 #![warn(missing_docs)]
+
+pub mod load;
+
+pub use load::{computers, drive, median, percentile, warm, Args, Json, ProbeFleet, Run};
 
 /// A simple fixed-width table printer for experiment output.
 pub struct Table {

@@ -13,8 +13,8 @@
 //!   one thread per service) demonstrating that the same engines run
 //!   over real concurrency;
 //! * [`transport`] — the TCP boundary under [`live`]: length-prefixed
-//!   `ProtocolMessage` frames on real sockets, so services spawned with
-//!   `Transport::Tcp` serve GRIP/GRRP to other OS processes.
+//!   `ProtocolMessage` frames on real sockets, so a service spawned on
+//!   a `tcp://` service URL serves GRIP/GRRP to other OS processes.
 
 #![warn(missing_docs)]
 
@@ -35,7 +35,7 @@ pub use bootstrap::{
 pub use deploy::{org, SimDeployment, DEFAULT_TICK};
 pub use live::{
     LiveClient, LiveNetMetrics, LiveRuntime, ReplicaBalancer, RetryPolicy, SearchRequest,
-    SearchResponse, ServeOptions, ServiceFault, Transport,
+    SearchResponse, ServeOptions, ServiceFault,
 };
 pub use naming::{Guid, GuidGenerator, NamingAuthority};
 pub use scenario::{figure5, two_vos, HierarchyScenario, TwoVoScenario};

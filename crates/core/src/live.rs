@@ -25,11 +25,11 @@
 //!
 //! # Transports
 //!
-//! The default [`Transport::Channel`] keeps everything in-process.
-//! [`Transport::Tcp`] (for services with `tcp://host:port` URLs) adds a
-//! real listener in front of the same inbox: framed GRIP/GRRP from other
-//! OS processes flows through identical worker pools, tracing envelopes
-//! and monitoring namespaces (see [`crate::transport`]). Messages the
+//! A service with an `ldap://` URL stays in-process. A `tcp://host:port`
+//! service URL adds a real listener in front of the same inbox: framed
+//! GRIP/GRRP from other OS processes flows through identical worker
+//! pools, tracing envelopes and monitoring namespaces (see
+//! [`crate::transport`]). Messages the
 //! router sees *for* a `tcp://` URL go out over pooled real connections,
 //! so a parent GIIS chains to networked children transparently.
 
@@ -100,6 +100,9 @@ pub enum LiveMsg {
     /// Control message: re-announce to registration targets immediately
     /// (sent by the runtime when a paused service is resumed).
     Reannounce,
+    /// Control message: the TCP connection behind this client id closed;
+    /// the owner drops the client's sessions and subscriptions.
+    Closed(u64),
     /// Stop the service thread.
     Shutdown,
 }
@@ -112,6 +115,9 @@ pub enum LiveMsg {
 struct ClientInterner {
     inner: Arc<Mutex<InternerState>>,
     size: Arc<Gauge>,
+    /// The runtime's accepted connections: an `Address::Tcp` is minted
+    /// an id only while its connection is open.
+    conns: Arc<ConnTable>,
 }
 
 struct InternerState {
@@ -121,7 +127,7 @@ struct InternerState {
 }
 
 impl ClientInterner {
-    fn new(size: Arc<Gauge>) -> ClientInterner {
+    fn new(size: Arc<Gauge>, conns: Arc<ConnTable>) -> ClientInterner {
         ClientInterner {
             inner: Arc::new(Mutex::new(InternerState {
                 ids: HashMap::new(),
@@ -129,20 +135,31 @@ impl ClientInterner {
                 next: 1,
             })),
             size,
+            conns,
         }
     }
 
-    fn intern(&self, addr: &Address) -> u64 {
+    /// The client id of `addr`, minted on first sight. `None` for a TCP
+    /// connection that has closed: a request it left queued must not
+    /// bring back the session its close dropped. The connection leaves
+    /// the table before its close forgets the id, and both checks run
+    /// under this lock, so an id minted here is always forgotten later.
+    fn intern(&self, addr: &Address) -> Option<u64> {
         let mut s = self.inner.lock();
         if let Some(&id) = s.ids.get(addr) {
-            return id;
+            return Some(id);
+        }
+        if let Address::Tcp(conn) = addr {
+            if !self.conns.is_open(*conn) {
+                return None;
+            }
         }
         let id = s.next;
         s.next += 1;
         s.ids.insert(addr.clone(), id);
         s.addrs.insert(id, addr.clone());
         self.size.set(s.ids.len() as u64);
-        id
+        Some(id)
     }
 
     fn address_of(&self, id: u64) -> Option<Address> {
@@ -477,7 +494,8 @@ impl ServiceLink {
     }
 
     /// Answer `request` from `from` on the read path, or hand it back
-    /// for the owner thread.
+    /// for the owner thread. A request from a closed connection is
+    /// dropped.
     fn answer<Q: QueryPath>(
         &self,
         query: &Q,
@@ -485,7 +503,7 @@ impl ServiceLink {
         request: GripRequest,
         trace: Option<TraceContext>,
     ) -> Option<GripRequest> {
-        let cid = self.interner.intern(from);
+        let cid = self.interner.intern(from)?;
         match query.handle_query_traced(cid, request, trace, self.now()) {
             Ok(actions) => {
                 self.perform(actions, Some((cid, from)));
@@ -567,9 +585,10 @@ fn owner_loop<S: Service>(
                     enqueued,
                 } => {
                     link.dequeued(enqueued, inbox.len());
-                    let cid = link.interner.intern(&from);
-                    let actions = engine.on_request(cid, request, trace, link.now());
-                    link.perform(actions, Some((cid, &from)));
+                    if let Some(cid) = link.interner.intern(&from) {
+                        let actions = engine.on_request(cid, request, trace, link.now());
+                        link.perform(actions, Some((cid, &from)));
+                    }
                 }
                 LiveMsg::ReplyToService { from_url, reply } => {
                     // A malformed source URL cannot be correlated to a
@@ -584,11 +603,12 @@ fn owner_loop<S: Service>(
                     // A TCP-borne registration keeps its connection as
                     // the reply address, so a signature rejection
                     // reaches the sender as a wire frame.
-                    let from = origin.as_ref().map(|a| link.interner.intern(a));
+                    let from = origin.as_ref().and_then(|a| link.interner.intern(a));
                     let actions = engine.on_grrp(from, msg, link.now());
                     link.perform(actions, None);
                 }
                 LiveMsg::Reannounce => engine.parts().1.reannounce(),
+                LiveMsg::Closed(cid) => engine.drop_client(cid),
             }
             drained += 1;
             if drained < OWNER_BATCH {
@@ -601,35 +621,20 @@ fn owner_loop<S: Service>(
     }
 }
 
-/// Which transport fronts a spawned service.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Transport {
-    /// In-process crossbeam channels (the default; what every
-    /// deterministic test and experiment runs on).
-    #[default]
-    Channel,
-    /// A real TCP listener bound to the service URL's authority. The
-    /// service URL must use the `tcp://host:port` form; clients and
-    /// peers in other OS processes reach it with length-prefixed
-    /// [`ProtocolMessage`] frames.
-    Tcp,
-}
-
-/// How to run a spawned service: worker-pool width and transport.
+/// How to run a spawned service: worker-pool width, socket knobs,
+/// persistence and security.
 ///
 /// The same options serve a GRIS or a GIIS: both run through one
 /// driver ([`LiveRuntime::spawn_gris`] / [`LiveRuntime::spawn_giis`]).
 /// `workers: 0` (the default) is the owner-thread-only loop; `workers:
-/// N` adds N query-worker threads on the shared inbox. The transport
-/// selects whether the inbox is fed only by in-process channels or also
-/// by a TCP front-end.
+/// N` adds N query-worker threads on the shared inbox. The service
+/// URL, not an option, selects the transport: a `tcp://` URL puts a TCP
+/// front-end on the inbox, an `ldap://` URL keeps it in-process.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Query-worker threads sharing the service inbox (0 = owner only).
     pub workers: usize,
-    /// Channel-only or channel + TCP listener.
-    pub transport: Transport,
-    /// Socket knobs, used only when `transport` is [`Transport::Tcp`].
+    /// Socket knobs, used only for a `tcp://` service URL.
     pub tcp: TcpTuning,
     /// Durable storage directory: when set, the engine recovers its
     /// state from here before serving and journals every mutation. A
@@ -645,17 +650,16 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Channel transport, owner thread only (the old `spawn_gris`).
+    /// The defaults: owner thread only, default tuning.
     pub fn channel() -> ServeOptions {
         ServeOptions::default()
     }
 
-    /// TCP transport with default tuning.
+    /// The defaults, named for a service served over TCP. The `tcp://`
+    /// service URL is what selects the wire; this sets nothing more
+    /// than [`ServeOptions::channel`].
     pub fn tcp() -> ServeOptions {
-        ServeOptions {
-            transport: Transport::Tcp,
-            ..ServeOptions::default()
-        }
+        ServeOptions::default()
     }
 
     /// Set the query-worker pool width.
@@ -664,8 +668,7 @@ impl ServeOptions {
         self
     }
 
-    /// Set the socket knobs (implies nothing about the transport; pair
-    /// with [`ServeOptions::tcp`]).
+    /// Set the socket knobs (used only for a `tcp://` service URL).
     pub fn with_tuning(mut self, tcp: TcpTuning) -> ServeOptions {
         self.tcp = tcp;
         self
@@ -739,34 +742,17 @@ impl LiveRuntime {
         }
     }
 
-    /// The URL's scheme and the requested transport must agree: binding
-    /// a listener needs an authority, and a `tcp://` URL *is* the
-    /// instruction to use the wire.
-    fn check_transport(url: &LdapUrl, transport: Transport) -> std::io::Result<()> {
-        if url.is_tcp() != (transport == Transport::Tcp) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "service URL {url} does not match transport {transport:?}: \
-                     tcp:// URLs require Transport::Tcp, ldap:// URLs Transport::Channel"
-                ),
-            ));
-        }
-        Ok(())
-    }
-
     /// Bind the TCP listener for a service URL *before* anything is
     /// spawned or advertised, and resolve an ephemeral port
     /// (`tcp://host:0`) into the kernel-assigned one: `url` and the
     /// registration agent's advert are rewritten in place so the agent
-    /// announces the port that is actually served. Returns `None` for
-    /// channel transport.
+    /// announces the port that is actually served. Returns `None` for a
+    /// URL that is not `tcp://`.
     fn bind_endpoint(
-        transport: Transport,
         url: &mut LdapUrl,
         agent: &mut gis_proto::RegistrationAgent,
     ) -> std::io::Result<Option<BoundEndpoint>> {
-        if transport != Transport::Tcp {
+        if !url.is_tcp() {
             return Ok(None);
         }
         let bound = BoundEndpoint::bind(&url.authority())?;
@@ -793,11 +779,12 @@ impl LiveRuntime {
     /// the reactor shard threads — no inbox hop, no worker wakeup;
     /// owner-only work still flows to the inbox. The §7 handshake
     /// outcomes of `policy` hook into the engine's session table: an
-    /// authenticated connection's queries run as the proven subject, the
-    /// session (and its interned reply address) dies with the socket,
-    /// and every rejected handshake records an `auth.reject` span into
-    /// the runtime's trace sink, so security incidents show up in the
-    /// same place as slow queries. The service's metrics registry
+    /// authenticated connection's queries run as the proven subject.
+    /// When the socket closes, its interned reply address is forgotten
+    /// and the `owner` thread drops the client's sessions and
+    /// subscriptions. Every rejected handshake records an `auth.reject`
+    /// span into the runtime's trace sink, so security incidents show up
+    /// in the same place as slow queries. The service's metrics registry
     /// receives the endpoint's accept/conn/auth instruments plus the
     /// process-wide reactor shard gauges.
     #[allow(clippy::too_many_arguments)]
@@ -807,6 +794,7 @@ impl LiveRuntime {
         query: Q,
         link: &ServiceLink,
         inbox: &Sender<LiveMsg>,
+        owner: &Sender<LiveMsg>,
         policy: &SecurityPolicy,
         tcp: TcpTuning,
         registry: &gis_proto::metrics::MetricsRegistry,
@@ -815,15 +803,16 @@ impl LiveRuntime {
         let inline: InlineHandler = Arc::new(move |conn, request, trace| {
             inline_link.answer(&inline_query, &Address::Tcp(conn), request, trace)
         });
-        let (auth_query, auth_interner) = (query.clone(), link.interner.clone());
+        let (auth_query, auth_interner) = (query, link.interner.clone());
         let on_auth: AuthCallback = Arc::new(move |conn, subject| {
-            let cid = auth_interner.intern(&Address::Tcp(conn));
-            auth_query.authenticate_session(cid, Requester::subject(subject));
+            if let Some(cid) = auth_interner.intern(&Address::Tcp(conn)) {
+                auth_query.authenticate_session(cid, Requester::subject(subject));
+            }
         });
-        let close_interner = link.interner.clone();
+        let (close_interner, owner) = (link.interner.clone(), owner.clone());
         let on_close: ConnCallback = Arc::new(move |conn| {
             if let Some(cid) = close_interner.forget(&Address::Tcp(conn)) {
-                query.drop_session(cid);
+                let _ = owner.send(LiveMsg::Closed(cid));
             }
         });
         let (sink, span_url, epoch) = (Arc::clone(&self.sink), link.url.clone(), self.epoch);
@@ -866,7 +855,7 @@ impl LiveRuntime {
     /// cork. `opts.workers` query threads share the inbox and answer
     /// `Search` requests through the engine's [`QueryPath`], forwarding
     /// the rest to the owner (0 = the owner consumes the inbox
-    /// directly). With [`Transport::Tcp`] a listener on the URL's
+    /// directly). For a `tcp://` URL a listener on the URL's
     /// authority feeds the same inbox from other OS processes, answering
     /// read-path queries inline on its reactor threads; the only
     /// possible error is a failed bind. Binding happens before anything
@@ -898,11 +887,10 @@ impl LiveRuntime {
     /// and [`spawn_giis`](Self::spawn_giis).
     fn spawn<S: Service>(&mut self, mut engine: S, opts: ServeOptions) -> std::io::Result<LdapUrl> {
         let (config, agent) = engine.parts();
-        Self::check_transport(&config.url, opts.transport)?;
         if let Some(policy) = opts.security {
             config.security = policy;
         }
-        let bound = Self::bind_endpoint(opts.transport, &mut config.url, agent)?;
+        let bound = Self::bind_endpoint(&mut config.url, agent)?;
         let served_url = config.url.clone();
         let obs_on = config.observability;
         let url = served_url.to_string();
@@ -916,7 +904,10 @@ impl LiveRuntime {
         let registry = engine.metrics();
         let link = ServiceLink {
             router: Arc::clone(&self.router),
-            interner: ClientInterner::new(registry.gauge("interned-clients")),
+            interner: ClientInterner::new(
+                registry.gauge("interned-clients"),
+                Arc::clone(&self.router.tcp_conns),
+            ),
             url: url.clone(),
             epoch: self.epoch,
             obs_on,
@@ -945,7 +936,9 @@ impl LiveRuntime {
             .insert(url.clone(), inbox_tx.clone());
         if let Some(bound) = bound {
             let policy = &engine.parts().0.security;
-            self.serve_endpoint(bound, query, &link, &inbox_tx, policy, opts.tcp, &registry);
+            self.serve_endpoint(
+                bound, query, &link, &inbox_tx, &owner_tx, policy, opts.tcp, &registry,
+            );
         }
         let tick = self.tick;
         let handle = std::thread::spawn(move || owner_loop(engine, link, owner_rx, tick));
@@ -1890,7 +1883,7 @@ mod tests {
         };
         let mut url = LdapUrl::tcp("127.0.0.1", 0);
         let mut ag = agent(LdapUrl::server("gris.n1"));
-        let bound = LiveRuntime::bind_endpoint(Transport::Tcp, &mut url, &mut ag)
+        let bound = LiveRuntime::bind_endpoint(&mut url, &mut ag)
             .unwrap()
             .unwrap();
         assert_ne!(url.port, 0, "ephemeral port resolved");
@@ -1904,7 +1897,7 @@ mod tests {
         // requested URL; an unpinned advert must always track the bind.
         let mut url2 = LdapUrl::tcp("127.0.0.1", 0);
         let mut ag2 = agent(url.clone());
-        let bound2 = LiveRuntime::bind_endpoint(Transport::Tcp, &mut url2, &mut ag2)
+        let bound2 = LiveRuntime::bind_endpoint(&mut url2, &mut ag2)
             .unwrap()
             .unwrap();
         assert_ne!(url2.port, url.port, "fresh ephemeral port");
@@ -1916,7 +1909,7 @@ mod tests {
         let mut url = LdapUrl::tcp("127.0.0.1", 0);
         let mut ag = agent(LdapUrl::server("gris.n1"));
         ag.advertise(LdapUrl::tcp("public.example", 7000));
-        let _bound = LiveRuntime::bind_endpoint(Transport::Tcp, &mut url, &mut ag)
+        let _bound = LiveRuntime::bind_endpoint(&mut url, &mut ag)
             .unwrap()
             .unwrap();
         assert_eq!(ag.service_url, LdapUrl::tcp("public.example", 7000));

@@ -40,9 +40,6 @@ pub trait QueryPath: Clone + Send + Sync + 'static {
     /// Run `client`'s later queries as `requester` (a completed §7
     /// handshake).
     fn authenticate_session(&self, client: u64, requester: Requester);
-
-    /// Forget `client`'s session (its connection closed).
-    fn drop_session(&self, client: u64);
 }
 
 /// A GRIP/GRRP service engine a runtime can drive.
@@ -92,6 +89,10 @@ pub trait Service: Send + 'static {
 
     /// The engine's metrics registry.
     fn metrics(&self) -> Arc<MetricsRegistry>;
+
+    /// Forget `client`'s sessions and subscriptions (its connection
+    /// closed).
+    fn drop_client(&mut self, client: u64);
 }
 
 /// Replies to `client`, as the one effect list.
@@ -130,19 +131,9 @@ macro_rules! shared_service_methods {
         fn metrics(&self) -> Arc<MetricsRegistry> {
             $engine::metrics(self)
         }
-    };
-}
 
-/// The session hooks both query paths implement by their inherent
-/// methods of the same name.
-macro_rules! shared_session_methods {
-    ($path:ident) => {
-        fn authenticate_session(&self, client: u64, requester: Requester) {
-            $path::authenticate_session(self, client, requester)
-        }
-
-        fn drop_session(&self, client: u64) {
-            $path::drop_session(self, client)
+        fn drop_client(&mut self, client: u64) {
+            $engine::drop_client(self, client)
         }
     };
 }
@@ -159,7 +150,9 @@ impl QueryPath for GrisQueryPath {
             .map(|replies| replies_to(client, replies))
     }
 
-    shared_session_methods!(GrisQueryPath);
+    fn authenticate_session(&self, client: u64, requester: Requester) {
+        GrisQueryPath::authenticate_session(self, client, requester)
+    }
 }
 
 impl QueryPath for GiisQueryPath {
@@ -173,7 +166,9 @@ impl QueryPath for GiisQueryPath {
         GiisQueryPath::handle_query_traced(self, client, req, trace, now)
     }
 
-    shared_session_methods!(GiisQueryPath);
+    fn authenticate_session(&self, client: u64, requester: Requester) {
+        GiisQueryPath::authenticate_session(self, client, requester)
+    }
 }
 
 impl Service for Gris {

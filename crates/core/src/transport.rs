@@ -133,8 +133,6 @@ pub struct TcpTuning {
     /// Outbound: in-flight requests allowed per connection before
     /// submitters block for a free slot.
     pub mux_depth: usize,
-    /// Outbound: persistent connections kept per peer, used round-robin.
-    pub conns_per_peer: usize,
 }
 
 impl Default for TcpTuning {
@@ -146,7 +144,6 @@ impl Default for TcpTuning {
             max_frame: gis_proto::MAX_FRAME,
             max_conns: 256,
             mux_depth: 32,
-            conns_per_peer: 1,
         }
     }
 }
@@ -308,6 +305,11 @@ impl ConnTable {
         });
         self.conns.write().insert(id, Arc::clone(&handle));
         (id, handle)
+    }
+
+    /// Whether connection `id` is still registered (not yet closed).
+    pub(crate) fn is_open(&self, id: u64) -> bool {
+        self.conns.read().contains_key(&id)
     }
 
     fn remove(&self, id: u64) {
@@ -757,9 +759,11 @@ struct ServerConn {
 impl Drop for ServerConn {
     fn drop(&mut self) {
         // Runs on the shard thread whenever the source is dropped —
-        // protocol error, EOF, deadline, or endpoint shutdown.
-        (self.security.on_close)(self.conn_id);
+        // protocol error, EOF, deadline, or endpoint shutdown. The
+        // connection leaves the table before `on_close` runs, so the
+        // interner cannot mint a fresh id for it afterwards.
         self.conns.remove(self.conn_id);
+        (self.security.on_close)(self.conn_id);
         self.conn_ids.lock().retain(|&id| id != self.conn_id);
         let live = self
             .active
@@ -1574,21 +1578,15 @@ impl EventSource for OutboundSource {
     }
 }
 
-/// Round-robin ring of persistent connections to one peer.
-struct PeerRing {
-    conns: Vec<Option<Arc<MuxConn>>>,
-    rr: usize,
-}
-
 /// Multiplexing TCP client shared by a runtime (GIIS chaining, GRRP
 /// registration streams) and by standalone [`LiveClient`]
 /// (crate::live::LiveClient) handles in client-only processes. Keeps
-/// `conns_per_peer` persistent connections per `host:port` peer, each
-/// carrying up to `mux_depth` concurrent requests; a dead connection is
+/// one persistent connection per `host:port` peer, carrying up to
+/// `mux_depth` concurrent requests; a dead connection is
 /// replaced on the next submit (so a failed dial stays cheap to retry
 /// and the circuit breaker sees every failure).
 pub(crate) struct TcpOutbound {
-    peers: Mutex<HashMap<String, PeerRing>>,
+    peers: Mutex<HashMap<String, Arc<MuxConn>>>,
     tuning: TcpTuning,
     closed: Arc<AtomicBool>,
     /// Client-side §7 identity: when a credential is present every new
@@ -1641,14 +1639,9 @@ impl TcpOutbound {
     /// Tear down every connection and fail every in-flight request.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Relaxed);
-        let rings: Vec<PeerRing> = {
-            let mut peers = self.peers.lock();
-            peers.drain().map(|(_, ring)| ring).collect()
-        };
-        for ring in rings {
-            for conn in ring.conns.into_iter().flatten() {
-                conn.kill(TransportError::Dropped);
-            }
+        let conns: Vec<Arc<MuxConn>> = self.peers.lock().drain().map(|(_, c)| c).collect();
+        for conn in conns {
+            conn.kill(TransportError::Dropped);
         }
     }
 
@@ -1658,36 +1651,23 @@ impl TcpOutbound {
     /// draining an inbox batch (GIIS chain fan-out) pay one write per
     /// child connection instead of one per sub-query.
     pub(crate) fn cork_all(&self) -> OutboundCork {
-        let conns: Vec<Arc<MuxConn>> = {
-            let peers = self.peers.lock();
-            peers
-                .values()
-                .flat_map(|ring| ring.conns.iter().flatten().cloned())
-                .collect()
-        };
+        let conns: Vec<Arc<MuxConn>> = self.peers.lock().values().cloned().collect();
         for conn in &conns {
             conn.corked.fetch_add(1, Ordering::AcqRel);
         }
         OutboundCork { conns }
     }
 
-    /// The live connection for `peer` this request should ride — round
-    /// robin across the ring, replacing dead slots.
+    /// The live connection to `peer`, dialing a new one when there is
+    /// none or the last one died.
     fn conn_for(&self, peer: &str) -> Arc<MuxConn> {
         let mut peers = self.peers.lock();
-        let width = self.tuning.conns_per_peer.max(1);
-        let ring = peers.entry(peer.to_owned()).or_insert_with(|| PeerRing {
-            conns: vec![None; width],
-            rr: 0,
-        });
-        ring.rr = (ring.rr + 1) % ring.conns.len();
-        let slot = ring.rr;
-        match &ring.conns[slot] {
+        match peers.get(peer) {
             Some(conn) if conn.alive.load(Ordering::Relaxed) => Arc::clone(conn),
             _ => {
                 let hello = self.security.lock().hello_for(peer);
                 let conn = MuxConn::spawn(peer, self.tuning, Arc::clone(&self.closed), hello);
-                ring.conns[slot] = Some(Arc::clone(&conn));
+                peers.insert(peer.to_owned(), Arc::clone(&conn));
                 conn
             }
         }

@@ -756,11 +756,6 @@ impl GiisQueryPath {
     pub fn authenticate_session(&self, client: ClientId, requester: Requester) {
         self.sessions.write().insert(client, requester);
     }
-
-    /// Forget `client`'s session (connection closed).
-    pub fn drop_session(&self, client: ClientId) {
-        self.sessions.write().remove(&client);
-    }
 }
 
 /// A Grid Index Information Service instance.

@@ -34,7 +34,7 @@ use crate::provider::{namespace_intersects, InfoProvider, ProviderError};
 use gis_gsi::{PolicyMap, Requester, SecurityPolicy, ServiceConfig};
 use gis_ldap::{Dn, Entry, LdapUrl, Rdn, Schema, Scope, Strictness};
 use gis_netsim::{SimDuration, SimTime};
-use gis_proto::metrics::{self, Histogram, MetricsRegistry, PackedPair};
+use gis_proto::metrics::{self, Gauge, Histogram, MetricsRegistry, PackedPair};
 use gis_proto::trace::{SpanRecord, TraceContext, TraceSink};
 use gis_proto::{
     result_digest, Counter, GripReply, GripRequest, GrrpMessage, RegistrationAgent, RequestId,
@@ -166,12 +166,14 @@ struct Slot {
 
 /// Observability state shared by the owner and every query handle:
 /// whether instrumentation is on, the engine's metrics registry, the
-/// pre-resolved hot-path histograms, and the optional trace sink.
+/// pre-resolved hot-path instruments, and the optional trace sink.
 #[derive(Clone)]
 struct Obs {
     enabled: bool,
     registry: Arc<MetricsRegistry>,
     search_us: Arc<Histogram>,
+    /// Active subscriptions, as of the last tick.
+    subscriptions: Arc<Gauge>,
     sink: Option<Arc<TraceSink>>,
 }
 
@@ -179,10 +181,12 @@ impl Obs {
     fn new(enabled: bool) -> Obs {
         let registry = Arc::new(MetricsRegistry::new());
         let search_us = registry.histogram("search-us");
+        let subscriptions = registry.gauge("subscriptions");
         Obs {
             enabled,
             registry,
             search_us,
+            subscriptions,
             sink: None,
         }
     }
@@ -223,13 +227,6 @@ pub struct GrisConfig {
     /// inconsistent information as is available", §2.2). `None` disables
     /// the degraded mode: failures omit the provider's entries.
     pub stale_ttl: Option<SimDuration>,
-    /// When true, a multi-provider search resolves its cache misses on
-    /// scoped threads instead of invoking providers sequentially, so one
-    /// slow provider does not add its latency to every other's. Results
-    /// are still merged in provider registration order, keeping output
-    /// identical to the sequential path. Off by default (the simulated
-    /// runtime keeps the deterministic sequential path).
-    pub parallel_fetch: bool,
 }
 
 impl std::ops::Deref for GrisConfig {
@@ -253,7 +250,6 @@ impl GrisConfig {
             suffix,
             schema: None,
             stale_ttl: None,
-            parallel_fetch: false,
         }
     }
 
@@ -317,7 +313,6 @@ struct ReadPathRef<'a> {
     policy: &'a PolicyMap,
     schema: Option<&'a (Schema, Strictness)>,
     stale_ttl: Option<SimDuration>,
-    parallel_fetch: bool,
     slots: &'a [Slot],
     stats: &'a GrisStatsAtomic,
     obs: &'a Obs,
@@ -530,11 +525,9 @@ impl ReadPathRef<'_> {
             .filter(|s| namespace_intersects(&s.namespace, &spec.base))
             .collect();
 
-        // Resolve every eligible slot. Cache hits are answered inline;
-        // with `parallel_fetch`, two or more outstanding provider calls
-        // fan out across scoped threads instead of queueing behind each
-        // other. Contributions are merged in slot order either way, so
-        // both paths produce identical output.
+        // Resolve every eligible slot: cache hits first, then the
+        // misses' provider calls in slot order. Contributions are merged
+        // in slot order.
         let mut data: Vec<Option<SlotData>> = Vec::with_capacity(eligible.len());
         let mut missing: Vec<usize> = Vec::new();
         for (i, slot) in eligible.iter().enumerate() {
@@ -550,27 +543,8 @@ impl ReadPathRef<'_> {
                 }
             }
         }
-        if self.parallel_fetch && missing.len() >= 2 {
-            let resolved = std::thread::scope(|sc| {
-                let handles: Vec<_> = missing
-                    .iter()
-                    .map(|&i| {
-                        let slot = eligible[i];
-                        sc.spawn(move || self.resolve_slot(slot, spec, now, trace))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("provider fetch thread"))
-                    .collect::<Vec<_>>()
-            });
-            for (&i, d) in missing.iter().zip(resolved) {
-                data[i] = Some(d);
-            }
-        } else {
-            for &i in &missing {
-                data[i] = Some(self.resolve_slot(eligible[i], spec, now, trace));
-            }
+        for &i in &missing {
+            data[i] = Some(self.resolve_slot(eligible[i], spec, now, trace));
         }
 
         let mut partial = false;
@@ -732,7 +706,6 @@ pub struct GrisQueryPath {
     policy: PolicyMap,
     schema: Option<(Schema, Strictness)>,
     stale_ttl: Option<SimDuration>,
-    parallel_fetch: bool,
     monitoring_refresh: SimDuration,
     slots: Arc<Vec<Slot>>,
     sessions: Arc<RwLock<BTreeMap<ClientId, Requester>>>,
@@ -749,7 +722,6 @@ impl GrisQueryPath {
             policy: &self.policy,
             schema: self.schema.as_ref(),
             stale_ttl: self.stale_ttl,
-            parallel_fetch: self.parallel_fetch,
             slots: &self.slots,
             stats: &self.stats,
             obs: &self.obs,
@@ -775,12 +747,6 @@ impl GrisQueryPath {
     /// analog of a successful in-band `Bind`).
     pub fn authenticate_session(&self, client: ClientId, requester: Requester) {
         self.sessions.write().insert(client, requester);
-    }
-
-    /// Forget `client`'s session (its connection closed). Soft-state
-    /// hygiene: a reused client id must start anonymous.
-    pub fn drop_session(&self, client: ClientId) {
-        self.sessions.write().remove(&client);
     }
 
     /// Snapshot of the shared operational counters (for assertions and
@@ -1024,7 +990,6 @@ impl Gris {
             policy: self.config.security.policy_map.clone(),
             schema: self.config.schema.clone(),
             stale_ttl: self.config.stale_ttl,
-            parallel_fetch: self.config.parallel_fetch,
             monitoring_refresh: self.config.monitoring_refresh,
             slots: Arc::clone(&self.slots),
             sessions: Arc::clone(&self.sessions),
@@ -1208,6 +1173,7 @@ impl Gris {
             registrations,
             updates: Vec::new(),
         };
+        self.obs.subscriptions.set(self.subs.len() as u64);
         // Evaluate subscriptions. Collect due work first to avoid holding
         // a borrow of `subs` across the search.
         let mut due: Vec<(
@@ -1290,7 +1256,6 @@ impl Gris {
             policy: &self.config.security.policy_map,
             schema: self.config.schema.as_ref(),
             stale_ttl: self.config.stale_ttl,
-            parallel_fetch: self.config.parallel_fetch,
             slots: &self.slots,
             stats: &self.stats,
             obs: &self.obs,

@@ -119,7 +119,7 @@ fn concurrent_searches_match_a_serialized_execution() {
                         let batch: Vec<Op> = (0..OPS_PER_BATCH)
                             .map(|_| {
                                 let slot = (next_rand(&mut seed) as usize) % SLOTS;
-                                if next_rand(&mut seed) % 4 == 0 {
+                                if next_rand(&mut seed).is_multiple_of(4) {
                                     Op::Expire { slot }
                                 } else {
                                     Op::Upsert {

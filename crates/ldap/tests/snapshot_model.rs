@@ -30,7 +30,6 @@ use std::collections::BTreeSet;
 const WRITERS: usize = 2;
 const READER_OBSERVATIONS: usize = 2;
 const WRITER_STEPS: usize = 6;
-const READER_STEPS: usize = 3;
 
 /// Which protocol the writers follow.
 #[derive(Clone, Copy, PartialEq)]

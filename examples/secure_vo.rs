@@ -32,7 +32,7 @@ fn main() {
     let host = HostSpec::irix("hostX", 8);
     let url = LdapUrl::server("gris.hostX");
     let mut config = GrisConfig::open(url.clone(), host.dn());
-    config.security = SecurityPolicy::authenticated(ca.issue(&url.to_string()), trust);
+    config.security = SecurityPolicy::authenticated(ca.issue(url.to_string()), trust);
     config.security.policy_map.set(
         host.dn(),
         Acl::default()

@@ -65,7 +65,7 @@ done
 echo "$matched deterministic outputs identical"
 
 echo "==> cargo clippy (deny warnings)"
-cargo clippy --offline --workspace -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check

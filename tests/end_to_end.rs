@@ -155,7 +155,7 @@ fn authenticated_access_end_to_end() {
     let host = HostSpec::linux("sec", 2);
     let url = LdapUrl::server("gris.sec");
     let mut config = GrisConfig::open(url.clone(), host.dn());
-    config.security = SecurityPolicy::authenticated(ca.issue(&url.to_string()), trust);
+    config.security = SecurityPolicy::authenticated(ca.issue(url.to_string()), trust);
     config.security.policy_map.set(
         host.dn(),
         Acl::default()

@@ -331,9 +331,9 @@ proptest! {
                     drop_pull = Some(*child);
                 }
             }
-            for i in 0..children.len() {
-                let lapsed = r < children[i].lapsed_until;
-                children[i].pump(now, lapsed);
+            for child in &mut children {
+                let lapsed = r < child.lapsed_until;
+                child.pump(now, lapsed);
             }
             let synced = drive_round(&mut parent, &mut children, now, drop_pull);
             for ci in synced {
@@ -350,17 +350,17 @@ proptest! {
         let mut last_synced = BTreeSet::new();
         for extra in 1..=2usize {
             let now = t(10 * (base + extra) as u64);
-            for i in 0..children.len() {
-                let lapsed = (base + extra - 1) < children[i].lapsed_until;
-                children[i].pump(now, lapsed);
+            for child in &mut children {
+                let lapsed = (base + extra - 1) < child.lapsed_until;
+                child.pump(now, lapsed);
             }
             last_synced = drive_round(&mut parent, &mut children, now, None);
         }
         prop_assert_eq!(last_synced.len(), children.len());
         let end = t(10 * (base + 2) as u64);
-        for ci in 0..children.len() {
-            let want = children[ci].ground_truth(end);
-            let got = parent_slice(&parent, &children[ci].ns);
+        for child in &mut children {
+            let want = child.ground_truth(end);
+            let got = parent_slice(&parent, &child.ns);
             prop_assert_eq!(got, want);
         }
     }
@@ -624,7 +624,7 @@ fn federation_soak_recovers_breaker_and_gauges() {
         .unwrap();
     let site = LdapUrl::server("giis.site");
     rt.spawn_giis(
-        live_site_giis(&site, &[root.clone()]),
+        live_site_giis(&site, std::slice::from_ref(&root)),
         ServeOptions::default(),
     )
     .unwrap();
@@ -660,7 +660,7 @@ fn federation_soak_recovers_breaker_and_gauges() {
     // root full-syncs against the new lineage epoch.
     rt.heal_all();
     rt.spawn_giis(
-        live_site_giis(&site, &[root.clone()]),
+        live_site_giis(&site, std::slice::from_ref(&root)),
         ServeOptions::default(),
     )
     .unwrap();

@@ -12,20 +12,17 @@ use grid_info_services::gris::{Gris, GrisConfig, HostSpec, StaticHostProvider};
 use grid_info_services::gsi::{CertAuthority, SecurityPolicy, TrustStore};
 use grid_info_services::ldap::{Dn, Filter, LdapUrl, Wire};
 use grid_info_services::netsim::SimDuration;
-use grid_info_services::proto::{ResultCode, SearchSpec, TraceId};
+use grid_info_services::proto::{
+    GripReply, GripRequest, ResultCode, SearchSpec, SubscriptionMode, TraceId,
+};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Reserve a fresh loopback port: bind to port 0, read the assignment,
-/// drop the listener. The tiny race with other processes is acceptable
-/// in tests.
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind ephemeral")
-        .local_addr()
-        .unwrap()
-        .port()
+/// An ephemeral loopback URL: the runtime binds port 0 and returns the
+/// URL it serves.
+fn loopback() -> LdapUrl {
+    LdapUrl::tcp("127.0.0.1", 0)
 }
 
 fn computers() -> SearchSpec {
@@ -91,17 +88,13 @@ fn await_entries(client: &mut LiveClient, target: &LdapUrl, want: usize) -> Vec<
 
 /// GIIS and two GRIS all fronted by TCP listeners on loopback,
 /// chained/registered through `tcp://` service URLs.
-fn tcp_topology(giis_port: u16, gris_ports: &[u16]) -> (LiveRuntime, LdapUrl) {
+fn tcp_topology(n_gris: usize) -> (LiveRuntime, LdapUrl) {
     let mut rt = LiveRuntime::new(Duration::from_millis(10));
-    let vo = LdapUrl::tcp("127.0.0.1", giis_port);
-    rt.spawn_giis(chaining_giis(vo.clone()), ServeOptions::tcp())
+    let vo = rt
+        .spawn_giis(chaining_giis(loopback()), ServeOptions::tcp())
         .expect("giis listener binds");
-    for (i, port) in gris_ports.iter().enumerate() {
-        let gris = static_gris(
-            &format!("x{}", i + 1),
-            LdapUrl::tcp("127.0.0.1", *port),
-            &vo,
-        );
+    for i in 0..n_gris {
+        let gris = static_gris(&format!("x{}", i + 1), loopback(), &vo);
         rt.spawn_gris(gris, ServeOptions::tcp())
             .expect("gris listener binds");
     }
@@ -165,8 +158,7 @@ fn cross_process_client_matches_in_process_topology() {
     if std::env::var("GIS_TCP_E2E_PORT").is_ok() {
         return; // we *are* the child; only tcp_e2e_child_entry runs
     }
-    let ports = [free_port(), free_port(), free_port()];
-    let (rt, vo) = tcp_topology(ports[0], &ports[1..]);
+    let (rt, vo) = tcp_topology(2);
 
     // Expected result set from the identical channel-only topology.
     let (chan_rt, chan_vo) = channel_topology(2);
@@ -192,7 +184,7 @@ fn cross_process_client_matches_in_process_topology() {
             "--nocapture",
             "--test-threads=1",
         ])
-        .env("GIS_TCP_E2E_PORT", ports[0].to_string())
+        .env("GIS_TCP_E2E_PORT", vo.port.to_string())
         .output()
         .expect("spawn child test process");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -248,7 +240,7 @@ fn tcp_loopback_direct_query() {
     if std::env::var("GIS_TCP_E2E_PORT").is_ok() {
         return;
     }
-    let (rt, vo) = tcp_topology(free_port(), &[free_port(), free_port()]);
+    let (rt, vo) = tcp_topology(2);
     let mut client = LiveClient::builder(&vo).connect().expect("connect");
     let encs = await_entries(&mut client, &vo, 2);
     assert_eq!(encs.len(), 2);
@@ -267,13 +259,11 @@ fn oversized_frame_drops_connection_not_service() {
     if std::env::var("GIS_TCP_E2E_PORT").is_ok() {
         return;
     }
-    let port = free_port();
     let mut rt = LiveRuntime::new(Duration::from_millis(10));
-    let url = LdapUrl::tcp("127.0.0.1", port);
-    let gris = static_gris("solo", url.clone(), &LdapUrl::server("giis.nowhere"));
-    rt.spawn_gris(gris, ServeOptions::tcp()).unwrap();
+    let gris = static_gris("solo", loopback(), &LdapUrl::server("giis.nowhere"));
+    let url = rt.spawn_gris(gris, ServeOptions::tcp()).unwrap();
 
-    let mut rogue = TcpStream::connect(("127.0.0.1", port)).expect("rogue connects");
+    let mut rogue = TcpStream::connect(("127.0.0.1", url.port)).expect("rogue connects");
     rogue
         .write_all(&(64u32 << 20).to_be_bytes()) // 64 MiB >> MAX_FRAME
         .expect("header write");
@@ -309,20 +299,19 @@ fn half_frame_stall_trips_read_deadline_and_frees_slot() {
     if std::env::var("GIS_TCP_E2E_PORT").is_ok() {
         return;
     }
-    let port = free_port();
     let mut rt = LiveRuntime::new(Duration::from_millis(10));
-    let url = LdapUrl::tcp("127.0.0.1", port);
-    let gris = static_gris("solo", url.clone(), &LdapUrl::server("giis.nowhere"));
+    let gris = static_gris("solo", loopback(), &LdapUrl::server("giis.nowhere"));
     let tuning = TcpTuning {
         read_deadline: Duration::from_millis(200),
         max_conns: 1,
         ..TcpTuning::default()
     };
-    rt.spawn_gris(gris, ServeOptions::tcp().with_tuning(tuning))
+    let url = rt
+        .spawn_gris(gris, ServeOptions::tcp().with_tuning(tuning))
         .unwrap();
 
     // Occupy the only slot with half a header, then stall.
-    let mut staller = TcpStream::connect(("127.0.0.1", port)).expect("staller connects");
+    let mut staller = TcpStream::connect(("127.0.0.1", url.port)).expect("staller connects");
     staller.write_all(&[0x00, 0x00]).expect("half a header");
     staller
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -443,16 +432,14 @@ fn secured_topology_admits_signed_and_rejects_unsigned() {
     trust.add_ca(&ca);
 
     // Secured GIIS: handshake required, registrations verified.
-    let giis_port = free_port();
-    let vo = LdapUrl::tcp("127.0.0.1", giis_port);
     let mut rt_srv = LiveRuntime::new(Duration::from_millis(10));
-    let giis = chaining_giis(vo.clone());
+    let giis = chaining_giis(loopback());
     let stats = giis.query_path();
-    rt_srv
+    let vo = rt_srv
         .spawn_giis(
             giis,
             ServeOptions::tcp().security(SecurityPolicy::authenticated(
-                ca.issue(&vo.to_string()),
+                ca.issue("/O=Grid/CN=vo"),
                 trust.clone(),
             )),
         )
@@ -466,7 +453,7 @@ fn secured_topology_admits_signed_and_rejects_unsigned() {
         good_cred.clone(),
         trust.clone(),
     ));
-    let mut good = static_gris("good", LdapUrl::tcp("127.0.0.1", free_port()), &vo);
+    let mut good = static_gris("good", loopback(), &vo);
     good.config.security = SecurityPolicy::anonymous().with_credential(good_cred);
     rt_good.spawn_gris(good, ServeOptions::tcp()).unwrap();
 
@@ -477,7 +464,7 @@ fn secured_topology_admits_signed_and_rejects_unsigned() {
         ca.issue("/O=Grid/CN=rogue"),
         trust.clone(),
     ));
-    let rogue = static_gris("rogue", LdapUrl::tcp("127.0.0.1", free_port()), &vo);
+    let rogue = static_gris("rogue", loopback(), &vo);
     rt_rogue.spawn_gris(rogue, ServeOptions::tcp()).unwrap();
 
     // The rogue's unsigned registrations are refused at the door.
@@ -604,6 +591,61 @@ fn closed_tcp_connections_leave_the_interner() {
     rt.shutdown();
 }
 
+/// A client that disconnects takes its subscriptions with it: the GRIS
+/// stops evaluating and pushing them, instead of serving a dead socket
+/// every period for as long as it runs.
+#[test]
+fn closed_tcp_connection_drops_its_subscriptions() {
+    if std::env::var("GIS_TCP_E2E_PORT").is_ok() {
+        return;
+    }
+    let mut rt = LiveRuntime::new(Duration::from_millis(5));
+    let gris = static_gris("s1", loopback(), &LdapUrl::server("giis.none"));
+    let stats = gris.query_path();
+    let subscriptions = gris.metrics().gauge("subscriptions");
+    let interned = gris.metrics().gauge("interned-clients");
+    let url = rt.spawn_gris(gris, ServeOptions::tcp()).unwrap();
+    let baseline = interned.get();
+
+    let mut client = LiveClient::builder(&url).connect().unwrap();
+    client.send(&url, |id| GripRequest::Subscribe {
+        id,
+        spec: computers(),
+        mode: SubscriptionMode::Periodic(SimDuration::from_millis(20)),
+    });
+    for _ in 0..3 {
+        let update = client.recv(Duration::from_secs(5));
+        assert!(
+            matches!(update, Some(GripReply::Update { .. })),
+            "periodic update over TCP, got {update:?}"
+        );
+    }
+    let while_subscribed = subscriptions.get();
+
+    drop(client);
+    // The close reaches the owner thread asynchronously.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (interned.get() != baseline || subscriptions.get() != 0) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(interned.get(), baseline, "closed connection forgotten");
+    // Ten periods go by.
+    let sent = stats.stats().updates_sent;
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        stats.stats().updates_sent,
+        sent,
+        "updates kept flowing to a closed connection"
+    );
+    assert_eq!(while_subscribed, 1, "one subscription while connected");
+    assert_eq!(
+        subscriptions.get(),
+        0,
+        "subscription dropped with its connection"
+    );
+    rt.shutdown();
+}
+
 /// A registered-but-dead TCP child looks to the GIIS exactly like the
 /// failures the PR 2 circuit breaker was built for: chained requests go
 /// unanswered, consecutive fan-out timeouts accumulate, the circuit
@@ -613,7 +655,6 @@ fn dead_tcp_child_trips_giis_breaker() {
     if std::env::var("GIS_TCP_E2E_PORT").is_ok() {
         return;
     }
-    let gris_port = free_port();
     let mut rt = LiveRuntime::new(Duration::from_millis(10));
     let vo = LdapUrl::server("giis.vo");
     let mut giis = chaining_giis(vo.clone());
@@ -628,9 +669,8 @@ fn dead_tcp_child_trips_giis_breaker() {
     let stats = giis.query_path();
     rt.spawn_giis(giis, ServeOptions::channel()).unwrap();
 
-    let gris_url = LdapUrl::tcp("127.0.0.1", gris_port);
-    let gris = static_gris("victim", gris_url.clone(), &vo);
-    rt.spawn_gris(gris, ServeOptions::tcp()).unwrap();
+    let gris = static_gris("victim", loopback(), &vo);
+    let gris_url = rt.spawn_gris(gris, ServeOptions::tcp()).unwrap();
 
     // Healthy first: the child registers (soft state, 10 s TTL) and
     // answers a chained search over TCP.
