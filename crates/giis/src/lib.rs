@@ -6,9 +6,17 @@
 //! entities."
 //!
 //! * [`server`] — the GIIS engine: soft-state GRRP handling with
-//!   membership policy, four index/search modes (name-serving, chaining,
-//!   harvesting/relational, Bloom-routed chaining), invitation, referral
-//!   and partial-result semantics;
+//!   membership policy, invitation, referral and partial-result
+//!   semantics, and five [`GiisMode`]s, each one pairing of an index
+//!   builder with a search handler:
+//!
+//!   | mode         | index                                 | search                    |
+//!   |--------------|---------------------------------------|---------------------------|
+//!   | `Name`       | names (the soft-state registry)       | registry                  |
+//!   | `Chain`      | names                                 | chain                     |
+//!   | `Harvest`    | replica pulled by subtree search      | local                     |
+//!   | `BloomChain` | replica pulled by search, + summaries | chain routed by summaries |
+//!   | `Federated`  | replica pulled by `SyncPull`          | local                     |
 //! * [`bloom`] — the lossy-aggregation Bloom filters (§5.1).
 
 #![warn(missing_docs)]

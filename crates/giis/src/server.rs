@@ -8,12 +8,25 @@
 //! * GRRP handling — a [`SoftStateRegistry`] fed by `handle_grrp`, with a
 //!   membership [`AcceptPolicy`] ("administrators ... will want to control
 //!   membership", §2.3) and invitation support;
-//! * index construction — [`GiisMode`] selects what is precomputed: name
-//!   records only, a harvested entry cache (the "relational aggregate
-//!   directory" of §3), or per-child Bloom summaries (§5.1);
-//! * search handling — local answering, chaining with namespace scoping
-//!   (Figure 5), Bloom-pruned chaining, and LDAP referrals when data may
-//!   not be relayed (§10.4).
+//! * index construction — names only (the registry is the index), or a
+//!   replica of every child's tree (the "relational aggregate directory"
+//!   of §3) refreshed by one pull scheduler and fed by one ingest path,
+//!   optionally with per-child Bloom summaries (§5.1);
+//! * search handling — answering from the registry or from the replica
+//!   (one local-answer path for the owner and its query workers),
+//!   chaining with namespace scoping (Figure 5), optionally routed by the
+//!   Bloom summaries, and LDAP referrals when data may not be relayed
+//!   (§10.4).
+//!
+//! Each [`GiisMode`] is one pairing of the two plug-ins:
+//!
+//! | mode         | index                                 | search                    |
+//! |--------------|---------------------------------------|---------------------------|
+//! | `Name`       | names (the soft-state registry)       | registry                  |
+//! | `Chain`      | names                                 | chain                     |
+//! | `Harvest`    | replica pulled by subtree search      | local                     |
+//! | `BloomChain` | replica pulled by search, + summaries | chain routed by summaries |
+//! | `Federated`  | replica pulled by `SyncPull`          | local                     |
 //!
 //! The engine is sans-IO and asynchronous: methods return [`GiisAction`]s
 //! (messages to send, replies to deliver) that the runtime executes.
@@ -22,14 +35,16 @@
 //! hangs when children are partitioned away (Figures 1 and 4).
 
 use crate::bloom::{attr_token, BloomFilter};
-use gis_gsi::{PolicyMap, Requester, SecurityPolicy, ServiceConfig};
-use gis_ldap::{Dit, Dn, Entry, Filter, LdapUrl, Rdn, Scope, SharedDit, SnapshotLineage, Wire};
+use gis_gsi::{PolicyMap, Requester, ServiceConfig, Visibility};
+use gis_ldap::{
+    Dn, Entry, Filter, LdapUrl, Rdn, Scope, SharedDit, SnapshotLineage, Wire, FRESH_AT_ATTR,
+    SYNC_VERSION_ATTR,
+};
 use gis_netsim::{SimDuration, SimTime};
 use gis_proto::{
-    metrics, result_digest, Counter, GripReply, GripRequest, GrrpMessage, Histogram,
-    MetricsRegistry, Notification, PackedPair, RegistrationAgent, RequestId, ResultCode,
-    SearchSpec, SoftStateRegistry, SpanRecord, SubscriptionMode, SubscriptionTable, SyncCookie,
-    TraceContext, TraceSink,
+    metrics, Counter, GripReply, GripRequest, GrrpMessage, Histogram, MetricsRegistry,
+    Notification, PackedPair, RegistrationAgent, RequestId, ResultCode, SearchSpec,
+    SoftStateRegistry, SpanRecord, SubscriptionTable, SyncCookie, TraceContext, TraceSink,
 };
 use gis_store::{
     GroupSnap, Journal, JournalOptions, RecoveryReport, RegSnap, SnapshotContent, Storage, WalOp,
@@ -63,7 +78,8 @@ pub enum GiisMode {
     /// it records" locally; searches are answered from the harvested
     /// cache (freshness bounded by the refresh interval).
     Harvest {
-        /// Re-harvest cadence (the §12 freshness-vs-cost knob).
+        /// Re-harvest cadence (the §12 freshness-vs-cost knob); also how
+        /// long an unanswered harvest stays in flight.
         refresh: SimDuration,
     },
     /// Chaining with SDS-style lossy Bloom routing (§5.1): harvested
@@ -91,6 +107,86 @@ pub enum GiisMode {
         /// abandoned and scored against the child's circuit.
         deadline: SimDuration,
     },
+}
+
+/// How a replica pulls a child's tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pull {
+    /// A full-subtree `Search` of the child's namespace (a harvest).
+    Search,
+    /// A [`GripRequest::SyncPull`] presenting the last lineage cookie;
+    /// the child answers with its whole tree or a delta.
+    Sync,
+}
+
+/// The replica index builder: a copy of every child's tree, refreshed
+/// by pulls.
+#[derive(Debug, Clone, Copy)]
+struct Replica {
+    pull: Pull,
+    /// Pull cadence per child.
+    every: SimDuration,
+    /// An unanswered pull is abandoned this long after it was sent.
+    deadline: SimDuration,
+    /// Bloom summary sizing (bits per token), when summaries are kept.
+    bloom_bits: Option<usize>,
+}
+
+/// The search handler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Search {
+    /// From the registration records, with referrals to the providers.
+    Registry,
+    /// From the replica.
+    Local,
+    /// Forwarded to the children in scope, pruned by their Bloom
+    /// summaries when the index keeps them.
+    Chain { timeout: SimDuration },
+}
+
+impl GiisMode {
+    /// The mode's two plug-ins: its index builder (`None` is names only,
+    /// the soft-state registry being the whole index) and its search
+    /// handler.
+    fn plugins(self) -> (Option<Replica>, Search) {
+        let replica = |pull, every, deadline, bloom_bits| {
+            Some(Replica {
+                pull,
+                every,
+                deadline,
+                bloom_bits,
+            })
+        };
+        match self {
+            GiisMode::Name => (None, Search::Registry),
+            GiisMode::Chain { timeout } => (None, Search::Chain { timeout }),
+            GiisMode::Harvest { refresh } => {
+                (replica(Pull::Search, refresh, refresh, None), Search::Local)
+            }
+            GiisMode::BloomChain {
+                timeout,
+                refresh,
+                bits_per_element: bits,
+            } => (
+                replica(Pull::Search, refresh, refresh, Some(bits)),
+                Search::Chain { timeout },
+            ),
+            GiisMode::Federated { interval, deadline } => {
+                (replica(Pull::Sync, interval, deadline, None), Search::Local)
+            }
+        }
+    }
+
+    /// The monitoring `mode` label.
+    fn label(self) -> &'static str {
+        match self {
+            GiisMode::Name => "name",
+            GiisMode::Chain { .. } => "chain",
+            GiisMode::Harvest { .. } => "harvest",
+            GiisMode::BloomChain { .. } => "bloom-chain",
+            GiisMode::Federated { .. } => "federated",
+        }
+    }
 }
 
 /// Which GRRP registrations this directory accepts — the VO membership
@@ -124,7 +220,7 @@ impl AcceptPolicy {
 /// An effect the runtime must carry out for the GIIS.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GiisAction {
-    /// Send a GRIP request to another server (chained query or harvest).
+    /// Send a GRIP request to another server (chained query or pull).
     SendRequest {
         /// Target server.
         to: LdapUrl,
@@ -289,30 +385,33 @@ impl GiisStatsAtomic {
 
 /// GIIS configuration.
 ///
-/// The shared service knobs (endpoint URL, [`SecurityPolicy`],
+/// The shared service knobs (endpoint URL, [`gis_gsi::SecurityPolicy`],
 /// observability) live in the embedded [`ServiceConfig`]; `GiisConfig`
 /// derefs to it, so `config.url` / `config.security` /
 /// `config.observability` read and write naturally. The old separate
 /// `policy`/`authenticator`/`credential`/`grrp_trust` knobs are all
 /// derived from `service.security`: the trust store verifies both bind
-/// tokens and registration signatures, the credential signs harvest
-/// binds, and the policy map filters outgoing results.
+/// tokens and registration signatures, the credential signs pull binds,
+/// and the policy map filters outgoing results.
+#[derive(Clone)]
 pub struct GiisConfig {
     /// The knobs every GIS service shares, including the unified
-    /// security posture. With [`SecurityPolicy::verifies_registrations`]
+    /// security posture. With
+    /// [`gis_gsi::SecurityPolicy::verifies_registrations`]
     /// true, incoming registrations must carry a valid signature
     /// chaining to `service.security.trust`; the verified subject
     /// *replaces* any claimed subject before the accept policy runs
     /// ("(1) ensure that registration messages are authentic, and (2)
     /// control which registration events are accepted", §7). When a
     /// credential is present, the directory also authenticates to
-    /// children before harvesting (§7's trusted-directory model).
+    /// children before pulling from them (§7's trusted-directory model).
     pub service: ServiceConfig,
     /// The namespace this directory aggregates (its registration
     /// namespace when joining parent directories; `root` for a whole-VO
     /// directory).
     pub namespace: Dn,
-    /// Index/search mode.
+    /// Index/search mode. Read wherever it matters, so it may be changed
+    /// after [`Giis::new`].
     pub mode: GiisMode,
     /// Membership policy for incoming registrations.
     pub accept: AcceptPolicy,
@@ -323,20 +422,21 @@ pub struct GiisConfig {
     /// issues complicate caching" — one client's view must never be
     /// served to another. `None` disables caching.
     pub result_cache_ttl: Option<SimDuration>,
-    /// Per-child circuit breaker for the chaining modes. `None` (the
-    /// default) preserves the passive behaviour: a dead child eats the
-    /// full fan-out deadline on every query until its registration
-    /// expires. With a breaker, K consecutive timeouts open the child's
-    /// circuit and subsequent fan-outs skip it instantly (the answer is
-    /// marked partial); after a cooldown, one live query doubles as a
-    /// half-open probe that re-admits the child if it answers.
+    /// Per-child circuit breaker for chained queries and replica pulls.
+    /// `None` (the default) preserves the passive behaviour: a dead
+    /// child eats the full fan-out deadline on every query until its
+    /// registration expires. With a breaker, K consecutive timeouts open
+    /// the child's circuit and subsequent fan-outs and pulls skip it
+    /// instantly (a chained answer is marked partial); after a cooldown,
+    /// one live query or pull doubles as a half-open probe that
+    /// re-admits the child if it answers.
     pub breaker: Option<BreakerConfig>,
-    /// VO/suffix shards for [`GiisMode::Federated`]: when non-empty,
-    /// only children whose registered namespace intersects one of these
-    /// subtrees are pulled, and each pull asks for just the
-    /// intersecting subtrees — a replicated root can own a slice of the
-    /// VO namespace instead of the whole tree. Empty means unsharded
-    /// (pull everything).
+    /// VO/suffix shards for a replica: when non-empty, only children
+    /// whose registered namespace intersects one of these subtrees are
+    /// pulled, and each sync pull asks for just the intersecting
+    /// subtrees — a replicated root can own a slice of the VO namespace
+    /// instead of the whole tree. Empty means unsharded (pull
+    /// everything).
     pub shards: Vec<Dn>,
 }
 
@@ -365,9 +465,10 @@ impl Default for BreakerConfig {
 }
 
 /// Health of one registered child's chained-query circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Circuit {
     /// Normal operation; requests flow.
+    #[default]
     Closed,
     /// Skipping this child until the cooldown lapses.
     Open {
@@ -379,6 +480,16 @@ enum Circuit {
 }
 
 impl GiisConfig {
+    /// The index builder of the current mode (`None`: names only).
+    fn replica(&self) -> Option<Replica> {
+        self.mode.plugins().0
+    }
+
+    /// The search handler of the current mode.
+    fn search(&self) -> Search {
+        self.mode.plugins().1
+    }
+
     /// An open chaining directory with a 2-second fan-out deadline.
     pub fn chaining(url: LdapUrl, namespace: Dn) -> GiisConfig {
         GiisConfig {
@@ -392,12 +503,6 @@ impl GiisConfig {
             breaker: None,
             shards: Vec::new(),
         }
-    }
-
-    /// Replaces the security posture, builder-style.
-    pub fn with_security(mut self, security: SecurityPolicy) -> GiisConfig {
-        self.service.security = security;
-        self
     }
 
     /// A federated directory: pulls children on `interval`, abandons
@@ -428,10 +533,24 @@ impl std::ops::DerefMut for GiisConfig {
     }
 }
 
+/// A pull awaiting its reply (the bind ahead of it included).
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    /// The outbound id of the request now outstanding.
+    id: u64,
+    /// When the pull started (deadline and RTT input).
+    sent: SimTime,
+}
+
+#[derive(Default)]
 struct ChildState {
-    /// DNs currently held in the harvested cache for this child.
-    harvested: Vec<Dn>,
-    last_harvest: Option<SimTime>,
+    /// DNs this child contributes to the replica.
+    harvested: BTreeSet<Dn>,
+    /// When the last pull of the child was issued: pulls run at a fixed
+    /// rate, however long each reply takes.
+    last_pull: Option<SimTime>,
+    /// The pull in flight, if any: at most one per child.
+    pull: Option<InFlight>,
     /// Lineage cookie from the child's last sync reply: presenting it
     /// on the next pull yields an incremental delta when still inside
     /// the child's change window.
@@ -439,8 +558,7 @@ struct ChildState {
     /// The child-asserted "state as of" time of the last integrated
     /// sync reply (staleness-gauge input).
     sync_asof: Option<SimTime>,
-    /// When the last sync reply was integrated (distinct from
-    /// `last_harvest`, which is marked eagerly at *issue* time).
+    /// When the last sync reply was integrated.
     last_sync: Option<SimTime>,
     bloom: Option<BloomFilter>,
     /// Whether this directory has authenticated to the child.
@@ -449,32 +567,81 @@ struct ChildState {
     consec_failures: u32,
     /// Chained-query circuit state.
     circuit: Circuit,
-    /// Chained-request round-trip latency (registry handle, resolved
-    /// when the child first registers).
+    /// Request round-trip latency (registry handle, resolved when the
+    /// child first registers).
     rtt: Arc<Histogram>,
 }
 
-/// Observability state shared by the owner and every query handle:
-/// whether instrumentation is on, the engine's metrics registry, the
-/// pre-resolved hot-path histogram, and the optional trace sink.
+/// The query state the owner and every [`GiisQueryPath`] share: the
+/// replica, the chained-result cache, authenticated sessions, counters
+/// and instrumentation.
 #[derive(Clone)]
-struct Obs {
+struct Shared {
+    /// The replica, published as shared snapshots so query workers can
+    /// answer from it while the owner ingests pulls.
+    cache: Arc<SharedDit>,
+    result_cache: Arc<RwLock<BTreeMap<String, CachedResult>>>,
+    sessions: Arc<RwLock<BTreeMap<ClientId, Requester>>>,
+    stats: Arc<GiisStatsAtomic>,
+    /// Whether instrumentation is on.
     enabled: bool,
-    registry: Arc<MetricsRegistry>,
+    /// The engine's metrics registry.
+    metrics: Arc<MetricsRegistry>,
+    /// The pre-resolved hot-path histogram.
     search_us: Arc<Histogram>,
+    /// Where traced searches record spans.
     sink: Option<Arc<TraceSink>>,
 }
 
-impl Obs {
-    fn new(enabled: bool) -> Obs {
-        let registry = Arc::new(MetricsRegistry::new());
-        let search_us = registry.histogram("search-us");
-        Obs {
+impl Shared {
+    fn new(enabled: bool) -> Shared {
+        let metrics = Arc::new(MetricsRegistry::new());
+        Shared {
+            cache: Arc::new(SharedDit::new()),
+            result_cache: Arc::default(),
+            sessions: Arc::default(),
+            stats: Arc::default(),
             enabled,
-            registry,
-            search_us,
+            search_us: metrics.histogram("search-us"),
+            metrics,
             sink: None,
         }
+    }
+
+    /// Time one answered search and, when it is traced, record its
+    /// `giis.search` span: `span` is the query's context and its own
+    /// span id.
+    fn searched(
+        &self,
+        service: &LdapUrl,
+        span: Option<(TraceContext, u64)>,
+        start: SimTime,
+        end: SimTime,
+        outcome: &str,
+    ) {
+        if self.enabled {
+            self.search_us.record(end.since(start).micros());
+        }
+        if let (Some(sink), Some((ctx, span))) = (self.sink.as_deref(), span) {
+            sink.record(SpanRecord {
+                trace: ctx.trace,
+                span,
+                parent: Some(ctx.parent),
+                service: service.to_string(),
+                name: "giis.search".into(),
+                start,
+                end,
+                outcome: outcome.to_string(),
+            });
+        }
+    }
+
+    fn requester_of(&self, client: ClientId) -> Requester {
+        self.sessions
+            .read()
+            .get(&client)
+            .cloned()
+            .unwrap_or_else(Requester::anonymous)
     }
 }
 
@@ -488,7 +655,6 @@ type MonitorCell = Arc<RwLock<Option<(SimTime, Arc<Vec<Entry>>)>>>;
 struct PendingQuery {
     client: ClientId,
     client_req: RequestId,
-    cache_key: String,
     outstanding: Vec<u64>,
     merged: BTreeMap<String, Entry>,
     referrals: Vec<LdapUrl>,
@@ -514,74 +680,96 @@ struct PendingQuery {
     span: Option<u64>,
 }
 
+/// A complete (`Success`) chained answer kept for reuse.
 struct CachedResult {
     at: SimTime,
-    code: ResultCode,
     entries: Vec<Entry>,
     referrals: Vec<LdapUrl>,
 }
 
-/// Search a harvested-cache snapshot: scope/filter against the tree, then
-/// redact, filter and project per requester. Shared by the engine's own
-/// local answering and by [`GiisQueryPath`] workers.
-fn snapshot_answer(
-    snapshot: &gis_ldap::Dit,
+/// The most entries an answer to `spec` may carry.
+fn size_limit(spec: &SearchSpec) -> usize {
+    match spec.size_limit {
+        0 => usize::MAX,
+        n => n as usize,
+    }
+}
+
+/// What `requester` may see of `e` as an answer to `spec`: redacted by
+/// this directory's policy, then filtered and projected.
+fn release(
     policy: &PolicyMap,
     spec: &SearchSpec,
     requester: &Requester,
-) -> Vec<Entry> {
-    let raw = snapshot.search_shared(&spec.base, spec.scope, &spec.filter, &[], 0);
-    let mut out = Vec::new();
-    for e in raw {
-        let Some(redacted) = policy.redact(&e, requester) else {
-            continue;
-        };
-        if !spec.filter.matches(&redacted) {
-            continue;
-        }
-        out.push(redacted.project(&spec.attrs));
-        if spec.size_limit != 0 && out.len() >= spec.size_limit as usize {
-            break;
-        }
-    }
-    out
+    e: &Entry,
+) -> Option<Entry> {
+    let redacted = policy.redact(e, requester)?;
+    spec.filter
+        .matches(&redacted)
+        .then(|| redacted.project(&spec.attrs))
 }
 
-/// Probe the chained-result cache. On a fresh hit, counts the search and
-/// the hit and returns the ready-to-send reply. Shared by the engine and
-/// query workers; the caller must NOT count the search again on a hit.
-fn result_cache_probe(
-    result_cache: &RwLock<BTreeMap<String, CachedResult>>,
-    stats: &GiisStatsAtomic,
-    key: &str,
-    ttl: SimDuration,
-    id: RequestId,
+/// Name-serving answer: one entry per fresh registration in scope,
+/// carrying the service URL; referrals point clients at the providers.
+fn name_answer(
+    registry: &SoftStateRegistry,
+    policy: &PolicyMap,
+    spec: &SearchSpec,
+    requester: &Requester,
     now: SimTime,
-) -> Option<GripReply> {
-    let cache = result_cache.read();
-    let hit = cache.get(key)?;
-    if now.since(hit.at) >= ttl {
-        return None;
-    }
-    // The search is accounted *before* the hit so a concurrent stats
-    // snapshot (which reads hits before searches) can never observe
-    // `result_cache_hits > searches`.
-    stats.work.bump_first();
-    stats.result_cache_hits.bump();
-    stats.entries_returned.add(hit.entries.len() as u64);
-    Some(GripReply::SearchResult {
-        id,
-        code: hit.code,
-        entries: hit.entries.clone(),
-        referrals: hit.referrals.clone(),
-    })
+) -> (Vec<Entry>, Vec<LdapUrl>) {
+    registry
+        .active(now)
+        .filter(|reg| {
+            let ns = &reg.message.namespace;
+            match spec.scope {
+                Scope::Base => ns == &spec.base,
+                Scope::One => ns.is_child_of(&spec.base),
+                Scope::Sub => ns.is_under(&spec.base),
+            }
+        })
+        .filter_map(|reg| {
+            let mut e = Entry::new(reg.message.namespace.clone())
+                .with_class("registration")
+                .with("url", reg.message.service_url.to_string())
+                .with("registeredsince", reg.first_seen.micros())
+                .with("refreshcount", reg.refresh_count);
+            e.normalize_naming_attr();
+            let released = release(policy, spec, requester, &e)?;
+            Some((released, reg.message.service_url.clone()))
+        })
+        .take(size_limit(spec))
+        .unzip()
 }
 
-/// Span outcome label for a chained reply.
-fn reply_outcome(reply: &GripReply) -> &'static str {
-    match reply {
-        GripReply::SearchResult { code, .. } => code.label(),
-        _ => "reply",
+/// Redact one served sync entry for `requester` as a search would,
+/// keeping the lineage stamps the puller's staleness tracking reads.
+fn redact_stamped(policy: &PolicyMap, requester: &Requester, e: Entry) -> Option<Entry> {
+    let acl = policy.acl_for(e.dn());
+    if acl.visibility(requester) == Visibility::Full {
+        return Some(e);
+    }
+    let mut out = acl.redact(&e, requester)?;
+    for attr in [SYNC_VERSION_ATTR, FRESH_AT_ATTR] {
+        out.put(attr, e.get(attr).to_vec());
+    }
+    Some(out)
+}
+
+/// The equality tokens a child must contain for this filter to possibly
+/// match there: conservative — only top-level `Eq` terms of the filter
+/// (or of a top-level `And`) are usable for pruning.
+fn prunable_tokens(filter: &Filter) -> Vec<String> {
+    match filter {
+        Filter::Eq(a, v) => vec![attr_token(a, v)],
+        Filter::And(fs) => fs
+            .iter()
+            .filter_map(|f| match f {
+                Filter::Eq(a, v) => Some(attr_token(a, v)),
+                _ => None,
+            })
+            .collect(),
+        _ => Vec::new(),
     }
 }
 
@@ -593,53 +781,114 @@ fn cache_key(spec: &SearchSpec, requester: &Requester) -> String {
     )
 }
 
-enum OutboundKind {
-    Chained {
-        query: u64,
-        child: LdapUrl,
-        /// When the request was sent (RTT histogram input; span start).
-        sent: SimTime,
-        /// The `chain:<child>` span id when the query is traced — the
-        /// context the child received has this as its parent.
-        span: Option<u64>,
-    },
-    Harvest {
-        child: LdapUrl,
-    },
-    HarvestBind {
-        child: LdapUrl,
-    },
-    /// A federation sync pull awaiting its [`GripReply::SyncDelta`].
-    SyncPull {
-        child: LdapUrl,
-        /// When the pull was issued (deadline scan + RTT input).
-        sent: SimTime,
-    },
+/// One chained request of a fan-out awaiting its reply. (A pull in
+/// flight is its child's [`InFlight`].)
+struct Leg {
+    query: u64,
+    child: LdapUrl,
+    /// When the request was sent (RTT histogram input; span start).
+    sent: SimTime,
+    /// The `chain:<child>` span id when the query is traced — the
+    /// context the child received has this as its parent.
+    span: Option<u64>,
+}
+
+/// What local answering reads: the configuration, the shared query
+/// state and — on the owner only — the soft-state registry.
+struct ReadPathRef<'a> {
+    config: &'a GiisConfig,
+    shared: &'a Shared,
+    registry: Option<&'a SoftStateRegistry>,
+}
+
+impl ReadPathRef<'_> {
+    /// The one local-answer path, for the owner and query workers alike:
+    /// a registry or replica answer, or a fresh result-cache hit for a
+    /// chained search. `None` leaves the search to the owner (a registry
+    /// answer off the owner, or a chained fan-out).
+    fn answer(
+        &self,
+        client: ClientId,
+        id: RequestId,
+        spec: &SearchSpec,
+        trace: Option<TraceContext>,
+        now: SimTime,
+    ) -> Option<GripReply> {
+        let started = Instant::now();
+        let stats = &self.shared.stats;
+        let requester = self.shared.requester_of(client);
+        let (code, entries, referrals, how) = if let Search::Chain { .. } = self.config.search() {
+            let ttl = self.config.result_cache_ttl?;
+            let cache = self.shared.result_cache.read();
+            let hit = cache.get(&cache_key(spec, &requester));
+            let hit = hit.filter(|hit| now.since(hit.at) < ttl)?;
+            // The search is accounted *before* the hit so a concurrent
+            // stats snapshot (which reads hits before searches) can never
+            // observe `result_cache_hits > searches`.
+            stats.work.bump_first();
+            stats.result_cache_hits.bump();
+            let (entries, referrals) = (hit.entries.clone(), hit.referrals.clone());
+            (ResultCode::Success, entries, referrals, "cache-hit")
+        } else {
+            let (entries, referrals) = self.entries(spec, &requester, now)?;
+            stats.work.bump_both();
+            stats.referrals_issued.add(referrals.len() as u64);
+            (ResultCode::Success, entries, referrals, "local")
+        };
+        stats.entries_returned.add(entries.len() as u64);
+        let end = now + SimDuration::from_micros(started.elapsed().as_micros() as u64);
+        let span = trace.and_then(|ctx| Some((ctx, self.shared.sink.as_deref()?.next_span())));
+        self.shared.searched(&self.config.url, span, now, end, how);
+        Some(GripReply::SearchResult {
+            id,
+            code,
+            entries,
+            referrals,
+        })
+    }
+
+    /// The registry or replica answer to `spec` for `requester`; `None`
+    /// when it needs the registry this read path does not hold.
+    fn entries(
+        &self,
+        spec: &SearchSpec,
+        requester: &Requester,
+        now: SimTime,
+    ) -> Option<(Vec<Entry>, Vec<LdapUrl>)> {
+        let policy = &self.config.security.policy_map;
+        if self.config.search() == Search::Registry {
+            let registry = self.registry?;
+            return Some(name_answer(registry, policy, spec, requester, now));
+        }
+        // A point-in-time snapshot — concurrent ingest never tears a
+        // result — searched by shared handle, so entries reach
+        // redaction without being deep-copied.
+        let snapshot = self.shared.cache.snapshot();
+        let entries = snapshot
+            .search_shared(&spec.base, spec.scope, &spec.filter, &[], 0)
+            .iter()
+            .filter_map(|e| release(policy, spec, requester, e))
+            .take(size_limit(spec))
+            .collect();
+        Some((entries, Vec::new()))
+    }
 }
 
 /// A cloneable handle over a GIIS's concurrent query state: what a
-/// worker thread can answer without the engine's owner. Harvest-mode
-/// searches run against the shared cache snapshot; chain-mode searches
-/// are answered only on a result-cache hit (a miss needs the owner's
-/// fan-out machinery). Created by [`Giis::query_path`].
+/// worker thread can answer without the engine's owner — replica
+/// searches, and chained searches on a result-cache hit (a miss needs
+/// the owner's fan-out machinery). Created by [`Giis::query_path`].
 #[derive(Clone)]
 pub struct GiisQueryPath {
-    url: LdapUrl,
-    mode: GiisMode,
-    policy: PolicyMap,
-    result_cache_ttl: Option<SimDuration>,
-    cache: Arc<SharedDit>,
-    result_cache: Arc<RwLock<BTreeMap<String, CachedResult>>>,
-    sessions: Arc<RwLock<BTreeMap<ClientId, Requester>>>,
-    stats: Arc<GiisStatsAtomic>,
-    obs: Obs,
+    config: Arc<GiisConfig>,
+    shared: Shared,
 }
 
 impl GiisQueryPath {
     /// Snapshot of the shared operational counters (for assertions and
     /// monitoring after the engine has moved into a runtime).
     pub fn stats(&self) -> GiisStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// Handle a request if it is query-path work; everything else —
@@ -670,81 +919,23 @@ impl GiisQueryPath {
         trace: Option<TraceContext>,
         now: SimTime,
     ) -> Result<Vec<GiisAction>, GripRequest> {
-        let GripRequest::Search { id, spec } = req else {
-            return Err(req);
+        let read = ReadPathRef {
+            config: &self.config,
+            shared: &self.shared,
+            registry: None,
         };
-        // The monitoring namespace needs the owner's registry/child
-        // state (and, in chain modes, its fan-out machinery).
-        if metrics::is_monitoring_dn(&spec.base) {
-            return Err(GripRequest::Search { id, spec });
-        }
-        let started = Instant::now();
-        match self.mode {
-            GiisMode::Harvest { .. } | GiisMode::Federated { .. } => {
-                self.stats.work.bump_both();
-                let requester = self.requester_of(client);
-                let entries =
-                    snapshot_answer(&self.cache.snapshot(), &self.policy, &spec, &requester);
-                self.stats.entries_returned.add(entries.len() as u64);
-                self.note_search(trace, now, started, "local");
-                Ok(vec![GiisAction::Reply {
-                    client,
-                    reply: GripReply::SearchResult {
-                        id,
-                        code: ResultCode::Success,
-                        entries,
-                        referrals: Vec::new(),
-                    },
-                }])
+        let answered = match &req {
+            // The monitoring namespace needs the owner's registry and
+            // child state (and, in chain modes, its fan-out machinery).
+            GripRequest::Search { id, spec } if !metrics::is_monitoring_dn(&spec.base) => {
+                read.answer(client, *id, spec, trace, now)
             }
-            GiisMode::Chain { .. } | GiisMode::BloomChain { .. } => {
-                let Some(ttl) = self.result_cache_ttl else {
-                    return Err(GripRequest::Search { id, spec });
-                };
-                let requester = self.requester_of(client);
-                let key = cache_key(&spec, &requester);
-                match result_cache_probe(&self.result_cache, &self.stats, &key, ttl, id, now) {
-                    Some(reply) => {
-                        self.note_search(trace, now, started, "cache-hit");
-                        Ok(vec![GiisAction::Reply { client, reply }])
-                    }
-                    None => Err(GripRequest::Search { id, spec }),
-                }
-            }
-            // Name-serving answers come from the soft-state registry,
-            // which the owner mutates freely.
-            GiisMode::Name => Err(GripRequest::Search { id, spec }),
-        }
-    }
-
-    /// Record the `search-us` histogram and, when traced, a `giis.search`
-    /// span for a worker-answered search.
-    fn note_search(&self, trace: Option<TraceContext>, now: SimTime, started: Instant, how: &str) {
-        let elapsed = started.elapsed().as_micros() as u64;
-        if self.obs.enabled {
-            self.obs.search_us.record(elapsed);
-        }
-        let (Some(sink), Some(ctx)) = (self.obs.sink.as_deref(), trace) else {
-            return;
+            _ => None,
         };
-        sink.record(SpanRecord {
-            trace: ctx.trace,
-            span: sink.next_span(),
-            parent: Some(ctx.parent),
-            service: self.url.to_string(),
-            name: "giis.search".into(),
-            start: now,
-            end: now + SimDuration::from_micros(elapsed),
-            outcome: how.to_string(),
-        });
-    }
-
-    fn requester_of(&self, client: ClientId) -> Requester {
-        self.sessions
-            .read()
-            .get(&client)
-            .cloned()
-            .unwrap_or_else(Requester::anonymous)
+        match answered {
+            Some(reply) => Ok(vec![GiisAction::Reply { client, reply }]),
+            None => Err(req),
+        }
     }
 
     /// Record that `client` authenticated as `requester`.
@@ -754,7 +945,7 @@ impl GiisQueryPath {
     /// redacted for the proven identity — the wire analog of a
     /// successful in-band Bind.
     pub fn authenticate_session(&self, client: ClientId, requester: Requester) {
-        self.sessions.write().insert(client, requester);
+        self.shared.sessions.write().insert(client, requester);
     }
 }
 
@@ -766,21 +957,13 @@ pub struct Giis {
     pub registry: SoftStateRegistry,
     /// Registers this GIIS with parent directories (hierarchy, Figure 5).
     pub agent: RegistrationAgent,
-    stats: Arc<GiisStatsAtomic>,
-    sessions: Arc<RwLock<BTreeMap<ClientId, Requester>>>,
-    subs: SubscriptionTable<ClientId>,
-    sub_requester: BTreeMap<(ClientId, RequestId), Requester>,
-    sub_next_due: BTreeMap<(ClientId, RequestId), SimTime>,
+    shared: Shared,
+    subs: SubscriptionTable<ClientId, Requester>,
     children: BTreeMap<String, ChildState>,
-    /// The harvested entry cache, published as shared snapshots so query
-    /// workers can answer from it while the owner integrates harvests.
-    cache: Arc<SharedDit>,
-    result_cache: Arc<RwLock<BTreeMap<String, CachedResult>>>,
     pending: BTreeMap<u64, PendingQuery>,
-    outbound: BTreeMap<u64, OutboundKind>,
+    outbound: BTreeMap<u64, Leg>,
     next_outbound: u64,
     next_query: u64,
-    obs: Obs,
     monitor: MonitorCell,
     /// Write-ahead journal: present once [`Giis::set_persistence`] ran.
     persist: Option<Journal>,
@@ -801,32 +984,41 @@ impl Giis {
             reg_interval,
             reg_ttl,
         );
-        let obs = Obs::new(config.observability);
+        let shared = Shared::new(config.observability);
         Giis {
             config,
             registry: SoftStateRegistry::new(),
             agent,
-            stats: Arc::new(GiisStatsAtomic::default()),
-            sessions: Arc::new(RwLock::new(BTreeMap::new())),
+            shared,
             subs: SubscriptionTable::new(),
-            sub_requester: BTreeMap::new(),
-            sub_next_due: BTreeMap::new(),
             children: BTreeMap::new(),
-            cache: Arc::new(SharedDit::new()),
-            result_cache: Arc::new(RwLock::new(BTreeMap::new())),
             pending: BTreeMap::new(),
             outbound: BTreeMap::new(),
             next_outbound: 1,
             next_query: 1,
-            obs,
             monitor: Arc::new(RwLock::new(None)),
             persist: None,
             lineage: SnapshotLineage::default(),
         }
     }
 
-    /// Attach durable storage: recover the harvested cache, the
-    /// soft-state registry (with its original expiry deadlines), harvest
+    /// The owner's read path for local answering.
+    fn read_path(&self) -> ReadPathRef<'_> {
+        ReadPathRef {
+            config: &self.config,
+            shared: &self.shared,
+            registry: Some(&self.registry),
+        }
+    }
+
+    fn next_id(&mut self) -> u64 {
+        let id = self.next_outbound;
+        self.next_outbound += 1;
+        id
+    }
+
+    /// Attach durable storage: recover the replica, the soft-state
+    /// registry (with its original expiry deadlines), per-child
     /// attribution and agent targets from `storage`, and journal every
     /// subsequent mutation there.
     ///
@@ -842,41 +1034,33 @@ impl Giis {
         now: SimTime,
     ) -> RecoveryReport {
         let (journal, state, report) = Journal::open(storage, opts, now);
-        self.cache = Arc::new(SharedDit::from_dit(state.dit));
+        self.shared.cache = Arc::new(SharedDit::from_dit(state.dit));
         self.registry = state.registry;
         self.children.clear();
         for (key, g) in state.groups {
             let rtt = self
-                .obs
-                .registry
+                .shared
+                .metrics
                 .labeled_histogram("chain-rtt-us", Some(&key));
-            self.children.insert(
-                key,
-                ChildState {
-                    harvested: g.dns,
-                    last_harvest: g.at,
-                    // Sync cookies are not persisted: the first pull
-                    // after recovery is a full sync, which re-converges
-                    // whatever the WAL tail missed.
-                    sync_cookie: None,
-                    sync_asof: g.at,
-                    last_sync: g.at,
-                    // Bloom summaries are not persisted; they rebuild on
-                    // the next harvest of each child.
-                    bloom: None,
-                    bound: false,
-                    consec_failures: 0,
-                    circuit: Circuit::Closed,
-                    rtt,
-                },
-            );
+            // Sync cookies and Bloom summaries are not persisted: the
+            // first pull after recovery is a full one, which re-converges
+            // whatever the WAL tail missed and rebuilds the summary.
+            let child = ChildState {
+                harvested: g.dns.into_iter().collect(),
+                last_pull: g.at,
+                sync_asof: g.at,
+                last_sync: g.at,
+                rtt,
+                ..ChildState::default()
+            };
+            self.children.insert(key, child);
         }
         for t in state.targets {
             self.agent.add_target(t);
         }
-        let r = &self.obs.registry;
+        let r = &self.shared.metrics;
         r.gauge("persist-recovered-entries")
-            .set(self.cache.len() as u64);
+            .set(self.shared.cache.len() as u64);
         r.gauge("persist-recovered-regs")
             .set(self.registry.len() as u64);
         r.gauge("persist-wal-replayed")
@@ -893,7 +1077,7 @@ impl Giis {
     fn wal_log(&mut self, op: &WalOp) {
         if let Some(journal) = self.persist.as_mut() {
             if journal.log(op).is_err() {
-                self.obs.registry.counter("persist-errors").bump();
+                self.shared.metrics.counter("persist-errors").bump();
             }
         }
     }
@@ -904,15 +1088,15 @@ impl Giis {
         let Some(journal) = self.persist.as_mut() else {
             return;
         };
-        let published = self.cache.snapshot();
+        let published = self.shared.cache.snapshot();
         let regs: Vec<RegSnap> = self.registry.registrations().map(RegSnap::of).collect();
         let groups: Vec<GroupSnap> = self
             .children
             .iter()
             .map(|(name, st)| GroupSnap {
                 name: name.clone(),
-                at: st.last_harvest,
-                dns: st.harvested.clone(),
+                at: st.last_pull,
+                dns: st.harvested.iter().cloned().collect(),
                 entries: Vec::new(),
             })
             .collect();
@@ -924,21 +1108,21 @@ impl Giis {
             entries: &mut entries,
         };
         if journal.snapshot(content).is_err() {
-            self.obs.registry.counter("persist-errors").bump();
+            self.shared.metrics.counter("persist-errors").bump();
         }
     }
 
     /// Install a shared trace sink: traced searches record spans here.
     /// Call before creating query-path handles (they capture the sink).
     pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
-        self.obs.sink = Some(sink);
+        self.shared.sink = Some(sink);
     }
 
     /// This engine's metrics registry (exported under the monitoring
     /// namespace; the live runtime adds its worker-pool instruments
     /// here).
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.obs.registry)
+        Arc::clone(&self.shared.metrics)
     }
 
     /// The children (service URLs) currently fresh in the registry.
@@ -949,15 +1133,15 @@ impl Giis {
             .collect()
     }
 
-    /// Number of harvested entries currently cached.
+    /// Number of replicated entries currently cached.
     pub fn cached_entries(&self) -> usize {
-        self.cache.len()
+        self.shared.cache.len()
     }
 
     /// The current published cache snapshot (tests and experiments
     /// compare federated replicas against ground truth through this).
-    pub fn cache_snapshot(&self) -> Arc<Dit> {
-        self.cache.snapshot()
+    pub fn cache_snapshot(&self) -> Arc<gis_ldap::Dit> {
+        self.shared.cache.snapshot()
     }
 
     /// The lineage cookie recorded from `child`'s last sync reply.
@@ -977,25 +1161,18 @@ impl Giis {
 
     /// Snapshot of the operational counters.
     pub fn stats(&self) -> GiisStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// A cloneable concurrent-query handle sharing this directory's
-    /// harvested cache, result cache, sessions and counters. The config
-    /// slice it captures (mode, policy, cache TTL) is frozen at this
+    /// replica, result cache, sessions and counters. The configuration
+    /// it captures (search handler, policy, cache TTL) is frozen at this
     /// point. Registry-backed answering (Name mode) and fan-out state
     /// stay with the engine's owner.
     pub fn query_path(&self) -> GiisQueryPath {
         GiisQueryPath {
-            url: self.config.url.clone(),
-            mode: self.config.mode,
-            policy: self.config.security.policy_map.clone(),
-            result_cache_ttl: self.config.result_cache_ttl,
-            cache: Arc::clone(&self.cache),
-            result_cache: Arc::clone(&self.result_cache),
-            sessions: Arc::clone(&self.sessions),
-            stats: Arc::clone(&self.stats),
-            obs: self.obs.clone(),
+            config: Arc::new(self.config.clone()),
+            shared: self.shared.clone(),
         }
     }
 
@@ -1031,7 +1208,7 @@ impl Giis {
         msg: GrrpMessage,
         now: SimTime,
     ) -> Vec<GiisAction> {
-        self.stats.grrp_received.bump();
+        self.shared.stats.grrp_received.bump();
         match msg.notification {
             Notification::Invite => {
                 // This directory was itself invited to join a parent.
@@ -1060,13 +1237,13 @@ impl Giis {
                     match verified {
                         Some(subject) => msg.subject = Some(subject),
                         None => {
-                            self.stats.grrp_rejected.bump();
+                            self.shared.stats.grrp_rejected.bump();
                             return Giis::grrp_rejection(origin);
                         }
                     }
                 }
                 if !self.config.accept.admits(&msg) {
-                    self.stats.grrp_rejected.bump();
+                    self.shared.stats.grrp_rejected.bump();
                     return Giis::grrp_rejection(origin);
                 }
                 let url = msg.service_url.clone();
@@ -1079,41 +1256,28 @@ impl Giis {
                     });
                 }
                 let is_new = self.registry.observe(msg, now);
-                let harvesting = self.harvest_refresh().is_some();
+                let replica = self.config.replica();
                 let key = url.to_string();
                 // Resolved on every registration, but get-or-create in
                 // the registry makes repeats cheap (one map lookup).
                 let rtt = self
-                    .obs
-                    .registry
+                    .shared
+                    .metrics
                     .labeled_histogram("chain-rtt-us", Some(&key));
                 let state = self.children.entry(key).or_insert_with(|| ChildState {
-                    harvested: Vec::new(),
-                    last_harvest: None,
-                    sync_cookie: None,
-                    sync_asof: None,
-                    last_sync: None,
-                    bloom: None,
-                    bound: false,
-                    consec_failures: 0,
-                    circuit: Circuit::Closed,
                     rtt,
+                    ..ChildState::default()
                 });
-                // New children are harvested immediately in harvesting
-                // modes ("follows up each registration of a new entity
-                // with a GRIP query", §3); a federated directory issues
-                // its first sync pull the same way.
-                if is_new && state.last_harvest.is_none() {
-                    if harvesting {
-                        state.last_harvest = Some(now);
-                        return self.issue_harvest(url);
+                // A replica pulls each new child at once ("follows up
+                // each registration of a new entity with a GRIP query",
+                // §3).
+                match replica {
+                    Some(r) if is_new && state.last_pull.is_none() => {
+                        state.last_pull = Some(now);
+                        self.issue_pull(r, url, now, true)
                     }
-                    if matches!(self.config.mode, GiisMode::Federated { .. }) {
-                        state.last_harvest = Some(now);
-                        return self.issue_sync_pull(url, now);
-                    }
+                    _ => Vec::new(),
                 }
-                Vec::new()
             }
         }
     }
@@ -1135,79 +1299,20 @@ impl Giis {
         }
     }
 
-    fn harvest_refresh(&self) -> Option<SimDuration> {
-        match self.config.mode {
-            GiisMode::Harvest { refresh } => Some(refresh),
-            GiisMode::BloomChain { refresh, .. } => Some(refresh),
-            _ => None,
-        }
-    }
-
-    fn issue_harvest(&mut self, child: LdapUrl) -> Vec<GiisAction> {
-        // Authenticate first when operating as a trusted directory.
-        if let Some(cred) = &self.config.security.credential {
-            let bound = self
-                .children
-                .get(&child.to_string())
-                .is_some_and(|s| s.bound);
-            if !bound {
-                let token = gis_gsi::BindToken::create(cred, &child.to_string()).to_bytes();
-                let id = self.next_outbound;
-                self.next_outbound += 1;
-                self.outbound.insert(
-                    id,
-                    OutboundKind::HarvestBind {
-                        child: child.clone(),
-                    },
-                );
-                return vec![GiisAction::SendRequest {
-                    to: child,
-                    request: GripRequest::Bind {
-                        id,
-                        subject: cred.subject().to_owned(),
-                        token,
-                    },
-                    trace: None,
-                }];
-            }
-        }
-        let id = self.next_outbound;
-        self.next_outbound += 1;
-        self.outbound.insert(
-            id,
-            OutboundKind::Harvest {
-                child: child.clone(),
-            },
-        );
-        self.stats.harvests.bump();
-        let namespace = self
-            .registry
-            .get(&child)
-            .map(|r| r.message.namespace.clone())
-            .unwrap_or_else(Dn::root);
-        vec![GiisAction::SendRequest {
-            to: child,
-            request: GripRequest::Search {
-                id,
-                spec: SearchSpec::subtree(namespace, Filter::always()),
-            },
-            trace: None,
-        }]
-    }
-
-    /// The shard subtrees a pull of `child` should request: `Some(vec![])`
-    /// when unsharded, the intersecting shards when sharded, `None` when
-    /// the child's registered namespace misses every shard (it is not
-    /// pulled at all).
-    fn shard_scope(&self, child: &LdapUrl) -> Option<Vec<Dn>> {
-        if self.config.shards.is_empty() {
-            return Some(Vec::new());
-        }
-        let ns = self
-            .registry
+    /// The namespace `child` registered.
+    fn namespace_of(&self, child: &LdapUrl) -> Dn {
+        self.registry
             .get(child)
             .map(|r| r.message.namespace.clone())
-            .unwrap_or_else(Dn::root);
+            .unwrap_or_else(Dn::root)
+    }
+
+    /// The shard subtrees a pull of `child` should request: empty when
+    /// unsharded, the intersecting shards when sharded, `None` when the
+    /// child's registered namespace misses every shard (it is not
+    /// pulled at all).
+    fn shard_scope(&self, child: &LdapUrl) -> Option<Vec<Dn>> {
+        let ns = self.namespace_of(child);
         let hit: Vec<Dn> = self
             .config
             .shards
@@ -1215,66 +1320,264 @@ impl Giis {
             .filter(|s| ns.is_under(s) || s.is_under(&ns))
             .cloned()
             .collect();
-        if hit.is_empty() {
-            None
-        } else {
-            Some(hit)
-        }
+        (self.config.shards.is_empty() || !hit.is_empty()).then_some(hit)
     }
 
-    /// Is a sync pull to `child` already awaiting its reply?
-    fn sync_inflight(&self, child: &LdapUrl) -> bool {
-        self.outbound
-            .values()
-            .any(|k| matches!(k, OutboundKind::SyncPull { child: c, .. } if c == child))
-    }
-
-    /// Issue one federation sync pull, presenting the child's last
-    /// cookie so it can answer with an incremental delta.
-    fn issue_sync_pull(&mut self, child: LdapUrl, now: SimTime) -> Vec<GiisAction> {
-        let Some(subtrees) = self.shard_scope(&child) else {
+    /// Send the next request of a pull of `child` begun at `sent`: a
+    /// bind when `may_bind` and this directory holds a credential the
+    /// child has not yet accepted (§7's trusted-directory model), else
+    /// the pull itself — a full-subtree search of the child's namespace,
+    /// or a sync pull presenting the child's last cookie so it can answer
+    /// with a delta.
+    fn issue_pull(
+        &mut self,
+        r: Replica,
+        child: LdapUrl,
+        sent: SimTime,
+        may_bind: bool,
+    ) -> Vec<GiisAction> {
+        let key = child.to_string();
+        let (Some(state), Some(subtrees)) = (self.children.get(&key), self.shard_scope(&child))
+        else {
             return Vec::new();
         };
-        let cookie = self
-            .children
-            .get(&child.to_string())
-            .and_then(|s| s.sync_cookie);
-        let id = self.next_outbound;
-        self.next_outbound += 1;
-        self.outbound.insert(
-            id,
-            OutboundKind::SyncPull {
-                child: child.clone(),
-                sent: now,
+        let stats = &self.shared.stats;
+        let mut request = match (&self.config.security.credential, r.pull) {
+            (Some(cred), _) if may_bind && !state.bound => GripRequest::Bind {
+                id: 0,
+                subject: cred.subject().to_owned(),
+                token: gis_gsi::BindToken::create(cred, &key).to_bytes(),
             },
-        );
-        self.stats.sync_pulls.bump();
+            (_, Pull::Search) => {
+                stats.harvests.bump();
+                let spec = SearchSpec::subtree(self.namespace_of(&child), Filter::always());
+                GripRequest::Search { id: 0, spec }
+            }
+            (_, Pull::Sync) => {
+                stats.sync_pulls.bump();
+                GripRequest::SyncPull {
+                    id: 0,
+                    cookie: state.sync_cookie,
+                    subtrees,
+                }
+            }
+        };
+        let id = self.next_id();
+        request.set_id(id);
+        if let Some(state) = self.children.get_mut(&key) {
+            state.pull = Some(InFlight { id, sent });
+        }
         vec![GiisAction::SendRequest {
             to: child,
-            request: GripRequest::SyncPull {
-                id,
-                cookie,
-                subtrees,
-            },
+            request,
             trace: None,
         }]
     }
 
-    /// Answer a sync pull from the lineage over the local cache. Only
-    /// the cache-backed modes can serve deltas; the others decline, and
-    /// the puller scores the decline like a timeout.
+    /// The one pull scheduler: abandon every pull past its deadline
+    /// (scored against the child's circuit), then pull each due child
+    /// with nothing in flight that the breaker admits — a cooled-down
+    /// open circuit flips to half-open and the pull doubles as the
+    /// probe.
+    fn schedule_pulls(&mut self, r: Replica, now: SimTime) -> Vec<GiisAction> {
+        let overdue: Vec<String> = self
+            .children
+            .iter()
+            .filter(|(_, s)| s.pull.is_some_and(|p| now.since(p.sent) >= r.deadline))
+            .map(|(key, _)| key.clone())
+            .collect();
+        for key in overdue {
+            self.pull_failed(r, &key, now);
+        }
+        let due: Vec<LdapUrl> = self
+            .registry
+            .active(now)
+            .map(|reg| &reg.message.service_url)
+            .filter(|url| {
+                self.children.get(&url.to_string()).is_some_and(|s| {
+                    s.pull.is_none() && s.last_pull.is_none_or(|at| now.since(at) >= r.every)
+                })
+            })
+            .cloned()
+            .collect();
+        let mut actions = Vec::new();
+        for child in due {
+            if !self.breaker_admits(&child, now) {
+                continue;
+            }
+            if let Some(state) = self.children.get_mut(&child.to_string()) {
+                state.last_pull = Some(now);
+            }
+            actions.extend(self.issue_pull(r, child, now, true));
+        }
+        actions
+    }
+
+    /// A reply from `child` that is no chained leg: the answer to its
+    /// pull in flight or to the bind ahead of it, else a late reply to
+    /// an abandoned pull or an expired query, which is dropped.
+    fn pull_reply(&mut self, child: &LdapUrl, reply: GripReply, now: SimTime) -> Vec<GiisAction> {
+        let key = child.to_string();
+        let id = reply.id();
+        let state = self.children.get_mut(&key);
+        let flight = state.and_then(|s| s.pull.take_if(|p| p.id == id));
+        let (Some(r), Some(InFlight { sent, .. })) = (self.config.replica(), flight) else {
+            return Vec::new();
+        };
+        let (full, entries, deletes) = match reply {
+            GripReply::BindResult { ok, .. } => {
+                // Whether or not the bind succeeded, proceed to the
+                // pull without binding again: a refused bind yields the
+                // child's anonymous view, and the next pull retries it.
+                if let Some(state) = self.children.get_mut(&key) {
+                    state.bound = ok;
+                }
+                return self.issue_pull(r, child.clone(), sent, false);
+            }
+            GripReply::SearchResult { entries, .. } => (true, entries, Vec::new()),
+            GripReply::SyncDelta {
+                full,
+                epoch,
+                version,
+                at,
+                entries,
+                deletes,
+                ..
+            } => {
+                if self.shared.enabled {
+                    let bytes: usize = entries.iter().map(|e| e.to_wire().len()).sum();
+                    let gauge = self.shared.metrics.gauge("sync-delta-bytes");
+                    gauge.set(bytes as u64);
+                }
+                if let Some(state) = self.children.get_mut(&key) {
+                    state.sync_cookie = Some(SyncCookie { epoch, version });
+                    state.sync_asof = Some(at);
+                    state.last_sync = Some(now);
+                }
+                if full {
+                    self.shared.stats.full_syncs.bump();
+                } else {
+                    self.shared.stats.delta_syncs.bump();
+                }
+                (full, entries, deletes)
+            }
+            // Declined (or nonsense): scored like an unanswered pull.
+            _ => {
+                self.pull_failed(r, &key, now);
+                return Vec::new();
+            }
+        };
+        self.child_answered(child, sent, now);
+        self.ingest(r, child, full, entries, deletes, now);
+        Vec::new()
+    }
+
+    /// The pull of the child at `key` was abandoned at its deadline or
+    /// declined: scored against the child's circuit like a chained
+    /// timeout.
+    fn pull_failed(&mut self, r: Replica, key: &str, now: SimTime) {
+        if let Some(state) = self.children.get_mut(key) {
+            state.pull = None;
+        }
+        if r.pull == Pull::Sync {
+            self.shared.stats.sync_failures.bump();
+        }
+        self.record_child_failure(key, now);
+    }
+
+    /// The one ingest path. A full payload replaces `child`'s slice of
+    /// the replica; a delta deletes and upserts only what changed. Either
+    /// is journaled first, updates the child's DN attribution and (when
+    /// kept) its Bloom summary, and lands as one published snapshot —
+    /// queries see the child's old rows or its new ones, never a mix.
+    fn ingest(
+        &mut self,
+        r: Replica,
+        child: &LdapUrl,
+        full: bool,
+        entries: Vec<Entry>,
+        deletes: Vec<Dn>,
+        now: SimTime,
+    ) {
+        if self.persist.is_some() {
+            let (child, upserts) = (child.clone(), entries.clone());
+            let op = if full {
+                WalOp::Harvest {
+                    child,
+                    entries: upserts,
+                    now,
+                }
+            } else {
+                let deletes = deletes.clone();
+                WalOp::Delta {
+                    child,
+                    upserts,
+                    deletes,
+                    now,
+                }
+            };
+            self.wal_log(&op);
+        }
+        let key = child.to_string();
+        let state = self
+            .children
+            .get_mut(&key)
+            .expect("a pull reply has its child");
+        let stale: Vec<Dn> = if full {
+            // Collected, not inserted one by one: a child's rows arrive
+            // in DIT order, so the set is built from one sorted run
+            // instead of a tree descent per DN.
+            let fresh = entries.iter().map(|e| e.dn().clone()).collect();
+            std::mem::replace(&mut state.harvested, fresh)
+                .into_iter()
+                .collect()
+        } else {
+            for dn in &deletes {
+                state.harvested.remove(dn);
+            }
+            state
+                .harvested
+                .extend(entries.iter().map(|e| e.dn().clone()));
+            deletes
+        };
+        // Summaries are kept only by search-pulled replicas, whose every
+        // reply is a full payload: the filter is rebuilt from it.
+        if let Some(bits) = r.bloom_bits {
+            let tokens: usize = entries.iter().map(Entry::attr_count).sum();
+            let bloom = state
+                .bloom
+                .insert(BloomFilter::for_capacity(tokens.max(8), bits));
+            for e in &entries {
+                for (attr, values) in e.attrs() {
+                    for v in values {
+                        bloom.insert(&attr_token(attr, v.as_str()));
+                    }
+                }
+            }
+        }
+        self.shared.cache.mutate(|dit| {
+            for dn in &stale {
+                dit.delete(dn);
+            }
+            for e in entries {
+                dit.upsert(e);
+            }
+        });
+    }
+
+    /// Answer a sync pull from the lineage over the replica, redacted
+    /// for the puller exactly as its searches are. Only a replica can
+    /// serve deltas; other modes decline, and the puller scores the
+    /// decline like a timeout.
     fn sync_reply(
         &mut self,
+        client: ClientId,
         id: RequestId,
         cookie: Option<SyncCookie>,
         subtrees: &[Dn],
         now: SimTime,
     ) -> GripReply {
-        let serves = matches!(
-            self.config.mode,
-            GiisMode::Harvest { .. } | GiisMode::BloomChain { .. } | GiisMode::Federated { .. }
-        );
-        if !serves {
+        if self.config.replica().is_none() {
             return GripReply::SubscriptionDone {
                 id,
                 code: ResultCode::UnwillingToPerform,
@@ -1283,119 +1586,35 @@ impl Giis {
         // Catch the lineage up with whatever the cache published since
         // the last serve; a republished unchanged snapshot is an `Arc`
         // pointer comparison.
-        self.lineage.observe(self.cache.snapshot(), now);
+        self.lineage.observe(self.shared.cache.snapshot(), now);
         // A cookie from a different lineage incarnation (pre-restart
         // epoch) can collide numerically with this one's version; only
         // same-epoch cookies are eligible for an incremental answer.
-        if let Some(cookie) = cookie {
-            if cookie.epoch == self.lineage.epoch() {
-                if let Some(delta) = self.lineage.delta_since(cookie.version, subtrees) {
-                    return GripReply::SyncDelta {
-                        id,
-                        full: false,
-                        epoch: self.lineage.epoch(),
-                        version: self.lineage.version(),
-                        at: self.lineage.as_of(),
-                        entries: delta.upserts,
-                        deletes: delta.deletes,
-                    };
-                }
-            }
-        }
+        let delta = cookie
+            .filter(|c| c.epoch == self.lineage.epoch())
+            .and_then(|c| self.lineage.delta_since(c.version, subtrees));
+        let full = delta.is_none();
+        let (entries, deletes) = match delta {
+            Some(d) => (d.upserts, d.deletes),
+            None => (self.lineage.full(subtrees), Vec::new()),
+        };
+        let requester = self.shared.requester_of(client);
+        let policy = &self.config.security.policy_map;
         GripReply::SyncDelta {
             id,
-            full: true,
+            full,
             epoch: self.lineage.epoch(),
             version: self.lineage.version(),
             at: self.lineage.as_of(),
-            entries: self.lineage.full(subtrees),
-            deletes: Vec::new(),
-        }
-    }
-
-    /// Integrate one sync reply: a full payload rebuilds this child's
-    /// slice of the cache through the sorted bulk build (other
-    /// children's rows are retained by shared handle); an incremental
-    /// payload lands as one publish-once mutation batch.
-    #[allow(clippy::too_many_arguments)]
-    fn integrate_sync(
-        &mut self,
-        child: &LdapUrl,
-        full: bool,
-        epoch: u64,
-        version: u64,
-        at: SimTime,
-        entries: Vec<Entry>,
-        deletes: Vec<Dn>,
-        now: SimTime,
-    ) {
-        let key = child.to_string();
-        if !self.children.contains_key(&key) {
-            return; // registration expired between pull and reply
-        }
-        if self.obs.enabled {
-            let bytes: usize = entries.iter().map(|e| e.to_wire().len()).sum();
-            self.obs
-                .registry
-                .gauge("sync-delta-bytes")
-                .set(bytes as u64);
-        }
-        if full {
-            self.stats.full_syncs.bump();
-            if self.persist.is_some() {
-                self.wal_log(&WalOp::Harvest {
-                    child: child.clone(),
-                    entries: entries.clone(),
-                    now,
-                });
-            }
-            let state = self.children.get_mut(&key).expect("checked above");
-            let old: BTreeSet<Dn> = state.harvested.drain(..).collect();
-            state.harvested = entries.iter().map(|e| e.dn().clone()).collect();
-            state.sync_cookie = Some(SyncCookie { epoch, version });
-            state.sync_asof = Some(at);
-            state.last_sync = Some(now);
-            let snap = self.cache.snapshot();
-            let mut batch: Vec<Arc<Entry>> = snap
-                .iter_shared()
-                .filter(|(_, e)| !old.contains(e.dn()))
-                .map(|(_, e)| Arc::clone(e))
-                .collect();
-            // New rows come after retained ones: bulk_load keeps the
-            // last occurrence of a duplicate key, so the fresh payload
-            // wins if the child re-announced a DN another child owns.
-            batch.extend(entries.into_iter().map(Arc::new));
-            self.cache.replace(Dit::bulk_load_shared(batch));
-        } else {
-            self.stats.delta_syncs.bump();
-            if self.persist.is_some() {
-                self.wal_log(&WalOp::Delta {
-                    child: child.clone(),
-                    upserts: entries.clone(),
-                    deletes: deletes.clone(),
-                    now,
-                });
-            }
-            let state = self.children.get_mut(&key).expect("checked above");
-            state.sync_cookie = Some(SyncCookie { epoch, version });
-            state.sync_asof = Some(at);
-            state.last_sync = Some(now);
-            for dn in &deletes {
-                state.harvested.retain(|d| d != dn);
-            }
-            for e in &entries {
-                if !state.harvested.contains(e.dn()) {
-                    state.harvested.push(e.dn().clone());
-                }
-            }
-            self.cache.mutate(|dit| {
-                for dn in &deletes {
-                    dit.delete(dn);
-                }
-                for e in entries {
-                    dit.upsert(e);
-                }
-            });
+            entries: entries
+                .into_iter()
+                .filter_map(|e| redact_stamped(policy, &requester, e))
+                .collect(),
+            // The puller never learns of DNs it may not see.
+            deletes: deletes
+                .into_iter()
+                .filter(|dn| policy.acl_for(dn).visibility(&requester) != Visibility::Hidden)
+                .collect(),
         }
     }
 
@@ -1419,97 +1638,68 @@ impl Giis {
         trace: Option<TraceContext>,
         now: SimTime,
     ) -> Vec<GiisAction> {
-        match req {
-            GripRequest::Bind {
-                id,
-                subject: _,
-                token,
-            } => {
-                let outcome = self
+        let reply = match req {
+            GripRequest::Search { id, spec } => {
+                return self.start_search(client, id, spec, trace, now)
+            }
+            GripRequest::Bind { id, token, .. } => {
+                let subject = self
                     .config
                     .security
                     .authenticator(self.config.url.to_string())
                     .and_then(|a| a.authenticate(&token));
-                let (ok, subject) = match outcome {
-                    Some(s) => {
-                        self.sessions
-                            .write()
-                            .insert(client, Requester::subject(s.clone()));
-                        (true, Some(s))
-                    }
-                    None => (false, None),
-                };
-                vec![GiisAction::Reply {
-                    client,
-                    reply: GripReply::BindResult { id, ok, subject },
-                }]
+                if let Some(s) = &subject {
+                    let requester = Requester::subject(s.clone());
+                    self.shared.sessions.write().insert(client, requester);
+                }
+                GripReply::BindResult {
+                    id,
+                    ok: subject.is_some(),
+                    subject,
+                }
             }
-            GripRequest::Search { id, spec } => self.start_search(client, id, spec, trace, now),
             GripRequest::SyncPull {
                 id,
                 cookie,
                 subtrees,
-            } => {
-                let reply = self.sync_reply(id, cookie, &subtrees, now);
-                vec![GiisAction::Reply { client, reply }]
+            } => self.sync_reply(client, id, cookie, &subtrees, now),
+            // MDS-2.1 shipped "with the exception of push operations"
+            // (§10); §12 lists subscription push as future work. We
+            // implement it where the directory answers from its own
+            // state. Chained watches would need fan-out subscriptions;
+            // those belong at the authoritative GRIS, so they are
+            // declined.
+            GripRequest::Subscribe { id, .. }
+                if matches!(self.config.search(), Search::Chain { .. }) =>
+            {
+                GripReply::SubscriptionDone {
+                    id,
+                    code: ResultCode::UnwillingToPerform,
+                }
             }
             GripRequest::Subscribe { id, spec, mode } => {
-                // MDS-2.1 shipped "with the exception of push operations"
-                // (§10); §12 lists subscription push as future work. We
-                // implement it for the local-answer modes, where the
-                // directory can evaluate the watch against its own state.
-                // Chaining modes would need fan-out subscriptions; those
-                // watches belong at the authoritative GRIS, so they are
-                // declined.
-                match self.config.mode {
-                    GiisMode::Name | GiisMode::Harvest { .. } | GiisMode::Federated { .. } => {
-                        let requester = self.requester_of(client);
-                        self.subs.subscribe(client, id, spec.clone(), mode);
-                        self.sub_requester.insert((client, id), requester.clone());
-                        if let SubscriptionMode::Periodic(period) = mode {
-                            self.sub_next_due.insert((client, id), now + period);
-                        }
-                        let entries = self.subscription_snapshot(&spec, &requester, now);
-                        self.note_delivery(client, id, &entries);
-                        vec![GiisAction::Reply {
-                            client,
-                            reply: GripReply::Update { id, entries },
-                        }]
-                    }
-                    _ => vec![GiisAction::Reply {
-                        client,
-                        reply: GripReply::SubscriptionDone {
-                            id,
-                            code: ResultCode::UnwillingToPerform,
-                        },
-                    }],
-                }
+                let requester = self.shared.requester_of(client);
+                let (entries, _) = self
+                    .read_path()
+                    .entries(&spec, &requester, now)
+                    .unwrap_or_default();
+                self.subs.subscribe(client, id, spec, mode, requester, now);
+                let update = self.subs.deliver(client, id, entries);
+                update.expect("a new subscription delivers its snapshot")
             }
             GripRequest::Unsubscribe { id } => {
                 let existed = self.subs.unsubscribe(client, id);
-                self.sub_requester.remove(&(client, id));
-                self.sub_next_due.remove(&(client, id));
-                vec![GiisAction::Reply {
-                    client,
-                    reply: GripReply::SubscriptionDone {
-                        id,
-                        code: if existed {
-                            ResultCode::Success
-                        } else {
-                            ResultCode::NoSuchObject
-                        },
+                GripReply::SubscriptionDone {
+                    id,
+                    code: if existed {
+                        ResultCode::Success
+                    } else {
+                        ResultCode::NoSuchObject
                     },
-                }]
+                }
             }
-        }
-    }
-
-    fn requester_of(&self, client: ClientId) -> Requester {
-        self.sessions
-            .read()
-            .get(&client)
-            .cloned()
-            .unwrap_or_else(Requester::anonymous)
+        };
+        vec![GiisAction::Reply { client, reply }]
     }
 
     fn start_search(
@@ -1520,199 +1710,26 @@ impl Giis {
         trace: Option<TraceContext>,
         now: SimTime,
     ) -> Vec<GiisAction> {
-        let requester = self.requester_of(client);
-        // The monitoring namespace is served ahead of the mode dispatch:
-        // self-description answers the same way whatever the index mode,
-        // except that the chaining modes also fan it out to the children.
-        if metrics::is_monitoring_dn(&spec.base) {
-            return self.monitoring_search(client, id, spec, requester, trace, now);
-        }
-        let started = Instant::now();
-        match self.config.mode {
-            GiisMode::Name => {
-                self.stats.work.bump_both();
-                let (entries, referrals) = self.name_answer(&spec, &requester, now);
-                self.stats.entries_returned.add(entries.len() as u64);
-                self.stats.referrals_issued.add(referrals.len() as u64);
-                self.note_local_search(trace, now, started, "local");
-                vec![GiisAction::Reply {
-                    client,
-                    reply: GripReply::SearchResult {
-                        id,
-                        code: ResultCode::Success,
-                        entries,
-                        referrals,
-                    },
-                }]
-            }
-            GiisMode::Harvest { .. } | GiisMode::Federated { .. } => {
-                self.stats.work.bump_both();
-                let entries = self.local_answer(&spec, &requester);
-                self.stats.entries_returned.add(entries.len() as u64);
-                self.note_local_search(trace, now, started, "local");
-                vec![GiisAction::Reply {
-                    client,
-                    reply: GripReply::SearchResult {
-                        id,
-                        code: ResultCode::Success,
-                        entries,
-                        referrals: Vec::new(),
-                    },
-                }]
-            }
-            GiisMode::Chain { timeout } => {
-                self.chain(client, id, spec, requester, now, timeout, false, trace)
-            }
-            GiisMode::BloomChain { timeout, .. } => {
-                self.chain(client, id, spec, requester, now, timeout, true, trace)
-            }
-        }
-    }
-
-    /// Record `search-us` and, when traced, a `giis.search` span for a
-    /// search answered without fan-out.
-    fn note_local_search(
-        &self,
-        trace: Option<TraceContext>,
-        now: SimTime,
-        started: Instant,
-        how: &str,
-    ) {
-        let elapsed = started.elapsed().as_micros() as u64;
-        if self.obs.enabled {
-            self.obs.search_us.record(elapsed);
-        }
-        let (Some(sink), Some(ctx)) = (self.obs.sink.as_deref(), trace) else {
-            return;
-        };
-        sink.record(SpanRecord {
-            trace: ctx.trace,
-            span: sink.next_span(),
-            parent: Some(ctx.parent),
-            service: self.config.url.to_string(),
-            name: "giis.search".into(),
-            start: now,
-            end: now + SimDuration::from_micros(elapsed),
-            outcome: how.to_string(),
-        });
-    }
-
-    /// Answer a search against `Mds-Vo-name=monitoring`. The directory's
-    /// own self-description always contributes; in the chaining modes the
-    /// query additionally fans out to every active child — namespace
-    /// scoping and Bloom pruning are skipped (children's monitoring
-    /// entries live outside their registered namespaces) but the circuit
-    /// breaker still applies. Successful answers bypass the result cache
-    /// so metrics are never frozen for a TTL.
-    fn monitoring_search(
-        &mut self,
-        client: ClientId,
-        id: RequestId,
-        spec: SearchSpec,
-        requester: Requester,
-        trace: Option<TraceContext>,
-        now: SimTime,
-    ) -> Vec<GiisAction> {
-        if !self.obs.enabled {
-            return vec![GiisAction::Reply {
-                client,
-                reply: GripReply::SearchResult {
-                    id,
-                    code: ResultCode::NoSuchObject,
-                    entries: Vec::new(),
-                    referrals: Vec::new(),
-                },
-            }];
-        }
-        self.stats.work.bump_first();
-        self.stats.monitoring_queries.bump();
-        let own = self.monitoring_entries(now);
-        let merged: BTreeMap<String, Entry> = own
-            .iter()
-            .map(|e| (e.dn().to_string(), e.clone()))
-            .collect();
-        let timeout = match self.config.mode {
-            GiisMode::Chain { timeout } | GiisMode::BloomChain { timeout, .. } => Some(timeout),
-            GiisMode::Name | GiisMode::Harvest { .. } | GiisMode::Federated { .. } => None,
-        };
-        let mut targets: Vec<LdapUrl> = Vec::new();
-        let mut skipped_by_breaker = false;
-        if timeout.is_some() {
-            for child in self.active_children(now) {
-                if self.breaker_admits(&child, now) {
-                    targets.push(child);
-                } else {
-                    skipped_by_breaker = true;
-                }
-            }
-        }
-        self.fan_out(
-            client,
-            id,
-            spec,
-            requester,
-            now,
-            timeout.unwrap_or(SimDuration::from_micros(0)),
-            targets,
-            merged,
-            skipped_by_breaker,
-            false,
-            trace,
-        )
-    }
-
-    /// Name-serving answer: one entry per fresh registration, carrying
-    /// the service URL; referrals point clients at the providers.
-    fn name_answer(
-        &self,
-        spec: &SearchSpec,
-        requester: &Requester,
-        now: SimTime,
-    ) -> (Vec<Entry>, Vec<LdapUrl>) {
-        let mut entries = Vec::new();
-        let mut referrals = Vec::new();
-        for reg in self.registry.active(now) {
-            let ns = &reg.message.namespace;
-            let in_scope = match spec.scope {
-                Scope::Base => ns == &spec.base,
-                Scope::One => ns.is_child_of(&spec.base),
-                Scope::Sub => ns.is_under(&spec.base),
+        // The monitoring namespace is served ahead of the search
+        // handler: self-description answers the same way whatever the
+        // mode, except that the chaining modes also fan it out to the
+        // children.
+        let monitoring = metrics::is_monitoring_dn(&spec.base);
+        if monitoring && !self.shared.enabled {
+            let reply = GripReply::SearchResult {
+                id,
+                code: ResultCode::NoSuchObject,
+                entries: Vec::new(),
+                referrals: Vec::new(),
             };
-            if !in_scope {
-                continue;
-            }
-            let mut e = Entry::new(ns.clone())
-                .with_class("registration")
-                .with("url", reg.message.service_url.to_string())
-                .with("registeredsince", reg.first_seen.micros())
-                .with("refreshcount", reg.refresh_count);
-            e.normalize_naming_attr();
-            let Some(redacted) = self.config.security.policy_map.redact(&e, requester) else {
-                continue;
-            };
-            if !spec.filter.matches(&redacted) {
-                continue;
-            }
-            referrals.push(reg.message.service_url.clone());
-            entries.push(redacted.project(&spec.attrs));
-            if spec.size_limit != 0 && entries.len() >= spec.size_limit as usize {
-                break;
+            return vec![GiisAction::Reply { client, reply }];
+        }
+        if !monitoring {
+            if let Some(reply) = self.read_path().answer(client, id, &spec, trace, now) {
+                return vec![GiisAction::Reply { client, reply }];
             }
         }
-        (entries, referrals)
-    }
-
-    /// Answer from the harvested cache. Runs against a point-in-time
-    /// snapshot — concurrent harvest integration never tears a result —
-    /// and uses the shared-handle search so cached entries reach
-    /// redaction without being deep-copied.
-    fn local_answer(&self, spec: &SearchSpec, requester: &Requester) -> Vec<Entry> {
-        snapshot_answer(
-            &self.cache.snapshot(),
-            &self.config.security.policy_map,
-            spec,
-            requester,
-        )
+        self.fan_out(client, id, spec, monitoring, trace, now)
     }
 
     /// Serve the monitoring snapshot, rebuilding it when it has aged past
@@ -1735,18 +1752,11 @@ impl Giis {
     fn build_monitoring(&self, now: SimTime) -> Vec<Entry> {
         let base =
             metrics::monitoring_base().child(Rdn::new("service", self.config.url.to_string()));
-        let s = self.stats.snapshot();
-        let mode = match self.config.mode {
-            GiisMode::Name => "name",
-            GiisMode::Chain { .. } => "chain",
-            GiisMode::Harvest { .. } => "harvest",
-            GiisMode::BloomChain { .. } => "bloom-chain",
-            GiisMode::Federated { .. } => "federated",
-        };
+        let s = self.shared.stats.snapshot();
         let mut entries = vec![Entry::new(base.clone())
             .with_class("mds-service")
             .with("service-type", "giis")
-            .with("mode", mode)
+            .with("mode", self.config.mode.label())
             .with("namespace", self.config.namespace.to_string())
             .with("searches", s.searches)
             .with("local-answers", s.local_answers)
@@ -1768,16 +1778,16 @@ impl Giis {
         // Fleet-worst federation gauges: the laggiest child defines the
         // directory's staleness. Both recover once a sick child is
         // re-admitted and resyncs.
-        if self.obs.enabled {
+        if self.shared.enabled {
             if let Some(oldest) = self.children.values().filter_map(|s| s.sync_asof).min() {
-                self.obs
-                    .registry
+                self.shared
+                    .metrics
                     .gauge("sync-lag-us")
                     .set(now.since(oldest).micros());
             }
             if let Some(oldest) = self.children.values().filter_map(|s| s.last_sync).min() {
-                self.obs
-                    .registry
+                self.shared
+                    .metrics
                     .gauge("last-sync-age-us")
                     .set(now.since(oldest).micros());
             }
@@ -1815,29 +1825,12 @@ impl Giis {
             }
             entries.push(ce);
         }
-        entries.extend(self.obs.registry.export_entries(&base));
+        entries.extend(self.shared.metrics.export_entries(&base));
         entries
     }
 
-    /// The equality tokens a child must contain for this filter to
-    /// possibly match there: conservative — only top-level `Eq` terms of
-    /// the filter (or of a top-level `And`) are usable for pruning.
-    fn prunable_tokens(filter: &Filter) -> Vec<String> {
-        match filter {
-            Filter::Eq(a, v) => vec![attr_token(a, v)],
-            Filter::And(fs) => fs
-                .iter()
-                .filter_map(|f| match f {
-                    Filter::Eq(a, v) => Some(attr_token(a, v)),
-                    _ => None,
-                })
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Circuit-breaker gate for one child of a fan-out. Flips a
-    /// cooled-down open circuit to half-open (this query doubles as the
+    /// Circuit-breaker gate for one request to a child. Flips a
+    /// cooled-down open circuit to half-open (this request doubles as the
     /// probe); returns whether the child may be consulted.
     fn breaker_admits(&mut self, child: &LdapUrl, now: SimTime) -> bool {
         if self.config.breaker.is_none() {
@@ -1850,163 +1843,107 @@ impl Giis {
             Circuit::Closed => true,
             Circuit::Open { until } if now >= until => {
                 state.circuit = Circuit::HalfOpen;
-                self.stats.breaker_probes.bump();
+                self.shared.stats.breaker_probes.bump();
                 true
             }
             Circuit::Open { .. } | Circuit::HalfOpen => {
                 // At most one in-flight probe per child.
-                self.stats.breaker_skips.bump();
+                self.shared.stats.breaker_skips.bump();
                 false
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn chain(
-        &mut self,
-        client: ClientId,
-        id: RequestId,
-        spec: SearchSpec,
-        requester: Requester,
-        now: SimTime,
-        timeout: SimDuration,
-        bloom_route: bool,
-        trace: Option<TraceContext>,
-    ) -> Vec<GiisAction> {
-        // Result cache (§10.4): a fresh identical query from the same
-        // requester is answered locally. A hit accounts for the search
-        // itself (see `result_cache_probe`); every other path below is
-        // accounted by `fan_out`.
-        let key = cache_key(&spec, &requester);
-        if let Some(ttl) = self.config.result_cache_ttl {
-            if let Some(reply) =
-                result_cache_probe(&self.result_cache, &self.stats, &key, ttl, id, now)
-            {
-                self.note_local_search(trace, now, Instant::now(), "cache-hit");
-                return vec![GiisAction::Reply { client, reply }];
-            }
-        }
-        self.stats.work.bump_first();
-
-        // Namespace scoping (Figure 5): only children whose registered
-        // namespace intersects the search base are consulted.
-        let mut targets: Vec<LdapUrl> = Vec::new();
-        let mut skipped_by_breaker = false;
-        let tokens = if bloom_route {
-            Self::prunable_tokens(&spec.filter)
-        } else {
-            Vec::new()
-        };
-        let candidates: Vec<LdapUrl> = self
-            .registry
-            .active(now)
-            .filter(|reg| {
-                let ns = &reg.message.namespace;
-                ns.is_under(&spec.base) || spec.base.is_under(ns)
-            })
-            .map(|reg| reg.message.service_url.clone())
-            .collect();
-        for child in candidates {
-            if !tokens.is_empty() {
-                if let Some(state) = self.children.get(&child.to_string()) {
-                    if let Some(bloom) = &state.bloom {
-                        if tokens.iter().any(|t| !bloom.may_contain(t)) {
-                            self.stats.bloom_pruned.bump();
-                            continue;
-                        }
-                    }
-                }
-            }
-            // Circuit breaker: open children are skipped instantly
-            // (answer marked partial) instead of burning the deadline;
-            // once the cooldown lapses, this query doubles as the
-            // half-open probe.
-            if self.breaker_admits(&child, now) {
-                targets.push(child);
-            } else {
-                skipped_by_breaker = true;
-            }
-        }
-
-        self.fan_out(
-            client,
-            id,
-            spec,
-            requester,
-            now,
-            timeout,
-            targets,
-            BTreeMap::new(),
-            skipped_by_breaker,
-            true,
-            trace,
-        )
-    }
-
-    /// Shared fan-out tail of `chain` and `monitoring_search`: register
-    /// the pending query (pre-seeded with `merged`), send one chained
-    /// request per target — with derived trace contexts when traced —
-    /// and finalize immediately when there is nothing to wait for.
-    #[allow(clippy::too_many_arguments)]
+    /// Fan a search the owner could not answer locally out to the
+    /// children; the answer goes out once all of them replied or the
+    /// deadline passed. A search goes to the children whose registered
+    /// namespace intersects its base (Figure 5), pruned by their Bloom
+    /// summaries when the index keeps them. A monitoring search starts
+    /// from this directory's own self-description and goes to every
+    /// active child in the chaining modes (children's monitoring entries
+    /// live outside their registered namespaces) and to none otherwise;
+    /// it never enters the result cache, so metrics are not frozen for
+    /// a TTL. The circuit breaker gates every child: an open one is
+    /// skipped at once (the answer is marked partial) instead of burning
+    /// the deadline, and once its cooldown lapses this query doubles as
+    /// the half-open probe.
     fn fan_out(
         &mut self,
         client: ClientId,
         id: RequestId,
         spec: SearchSpec,
-        requester: Requester,
-        now: SimTime,
-        timeout: SimDuration,
-        targets: Vec<LdapUrl>,
-        merged: BTreeMap<String, Entry>,
-        skipped_by_breaker: bool,
-        cacheable: bool,
+        monitoring: bool,
         trace: Option<TraceContext>,
+        now: SimTime,
     ) -> Vec<GiisAction> {
-        let key = cache_key(&spec, &requester);
+        self.shared.stats.work.bump_first();
+        let mut merged = BTreeMap::new();
+        if monitoring {
+            self.shared.stats.monitoring_queries.bump();
+            let own = self.monitoring_entries(now);
+            merged.extend(own.iter().map(|e| (e.dn().to_string(), e.clone())));
+        }
+        let (timeout, candidates): (SimDuration, Vec<LdapUrl>) = match self.config.search() {
+            Search::Chain { timeout } => (
+                timeout,
+                self.registry
+                    .active(now)
+                    .filter(|reg| {
+                        let ns = &reg.message.namespace;
+                        monitoring || ns.is_under(&spec.base) || spec.base.is_under(ns)
+                    })
+                    .map(|reg| reg.message.service_url.clone())
+                    .collect(),
+            ),
+            _ => (SimDuration::from_micros(0), Vec::new()),
+        };
+        let routed = !monitoring
+            && self
+                .config
+                .replica()
+                .is_some_and(|r| r.bloom_bits.is_some());
+        let tokens = if routed {
+            prunable_tokens(&spec.filter)
+        } else {
+            Vec::new()
+        };
+        let mut targets = Vec::new();
+        let mut partial = false;
+        for child in candidates {
+            let pruned = !tokens.is_empty()
+                && self
+                    .children
+                    .get(&child.to_string())
+                    .and_then(|s| s.bloom.as_ref())
+                    .is_some_and(|b| tokens.iter().any(|t| !b.may_contain(t)));
+            if pruned {
+                self.shared.stats.bloom_pruned.bump();
+            } else if self.breaker_admits(&child, now) {
+                targets.push(child);
+            } else {
+                partial = true;
+            }
+        }
+
+        let requester = self.shared.requester_of(client);
         let query = self.next_query;
         self.next_query += 1;
         // Allocate this query's own span up front: chained children
         // parent onto it, and the context each child receives descends
         // from it.
-        let own_span = match (self.obs.sink.as_deref(), trace) {
-            (Some(sink), Some(_)) => Some(sink.next_span()),
-            _ => None,
+        let new_span = |shared: &Shared| {
+            let sink = shared.sink.as_deref().filter(|_| trace.is_some());
+            sink.map(TraceSink::next_span)
         };
+        let own_span = new_span(&self.shared);
         let mut actions = Vec::with_capacity(targets.len() + 1);
         let mut outstanding = Vec::with_capacity(targets.len());
         for child in targets {
-            let out_id = self.next_outbound;
-            self.next_outbound += 1;
-            let child_span = match (self.obs.sink.as_deref(), trace) {
-                (Some(sink), Some(_)) => Some(sink.next_span()),
-                _ => None,
-            };
-            let child_trace = match (trace, child_span) {
-                (Some(ctx), Some(span)) => Some(TraceContext {
-                    trace: ctx.trace,
-                    parent: span,
-                }),
-                _ => None,
-            };
-            self.outbound.insert(
-                out_id,
-                OutboundKind::Chained {
-                    query,
-                    child: child.clone(),
-                    sent: now,
-                    span: child_span,
-                },
-            );
-            self.stats.chained_requests.bump();
+            let span = new_span(&self.shared);
+            let (out_id, send) = self.send_leg(query, child, now, span, &spec, trace);
+            self.shared.stats.chained_requests.bump();
             outstanding.push(out_id);
-            actions.push(GiisAction::SendRequest {
-                to: child,
-                request: GripRequest::Search {
-                    id: out_id,
-                    spec: spec.clone(),
-                },
-                trace: child_trace,
-            });
+            actions.push(send);
         }
         let retry_at = self
             .config
@@ -2019,11 +1956,10 @@ impl Giis {
             PendingQuery {
                 client,
                 client_req: id,
-                cache_key: key,
                 outstanding,
                 merged,
                 referrals: Vec::new(),
-                partial: skipped_by_breaker,
+                partial,
                 degraded: false,
                 deadline: now + timeout,
                 retry_at,
@@ -2032,7 +1968,7 @@ impl Giis {
                 // An instant no-children answer is never cached: a child
                 // registering a moment later should become visible at
                 // the next query, not a TTL later.
-                cacheable: cacheable && !done,
+                cacheable: !monitoring && !done,
                 started_at: now,
                 trace,
                 span: own_span,
@@ -2047,6 +1983,39 @@ impl Giis {
         actions
     }
 
+    /// Send one chained leg of `query` to `child`, first sent at `sent`;
+    /// a traced leg's `span` is the parent of the child's spans.
+    fn send_leg(
+        &mut self,
+        query: u64,
+        child: LdapUrl,
+        sent: SimTime,
+        span: Option<u64>,
+        spec: &SearchSpec,
+        trace: Option<TraceContext>,
+    ) -> (u64, GiisAction) {
+        let id = self.next_id();
+        let leg = Leg {
+            query,
+            child: child.clone(),
+            sent,
+            span,
+        };
+        self.outbound.insert(id, leg);
+        let send = GiisAction::SendRequest {
+            to: child,
+            request: GripRequest::Search {
+                id,
+                spec: spec.clone(),
+            },
+            trace: trace.zip(span).map(|(ctx, parent)| TraceContext {
+                trace: ctx.trace,
+                parent,
+            }),
+        };
+        (id, send)
+    }
+
     /// Handle a GRIP reply arriving from a child server.
     pub fn handle_reply(
         &mut self,
@@ -2055,119 +2024,59 @@ impl Giis {
         now: SimTime,
     ) -> Vec<GiisAction> {
         let out_id = reply.id();
-        let Some(kind) = self.outbound.remove(&out_id) else {
-            return Vec::new(); // late reply for an expired query
+        let Some(Leg {
+            query,
+            child,
+            sent,
+            span,
+        }) = self.outbound.remove(&out_id)
+        else {
+            return self.pull_reply(from, reply, now);
         };
-        match kind {
-            OutboundKind::HarvestBind { child } => {
-                // Whether or not the bind succeeded, proceed to harvest:
-                // a failed bind just yields the child's anonymous view.
-                if let GripReply::BindResult { ok, .. } = reply {
-                    if let Some(state) = self.children.get_mut(&child.to_string()) {
-                        state.bound = ok;
-                    }
+        debug_assert_eq!(&child, from, "reply source mismatch");
+        self.child_answered(&child, sent, now);
+        let outcome = match &reply {
+            GripReply::SearchResult { code, .. } => code.label(),
+            _ => "reply",
+        };
+        self.note_chain_span(query, &child, sent, span, now, outcome);
+        let Some(p) = self.pending.get_mut(&query) else {
+            return Vec::new();
+        };
+        p.outstanding.retain(|&o| o != out_id);
+        if let GripReply::SearchResult {
+            code,
+            entries,
+            referrals,
+            ..
+        } = reply
+        {
+            match code {
+                ResultCode::InsufficientAccess => {
+                    // The child will not tell *us*; point the client at
+                    // it directly (§10.4's referral fallback in the
+                    // absence of delegation).
+                    p.referrals.push(child);
                 }
-                self.issue_harvest(child)
+                ResultCode::PartialResults | ResultCode::Unavailable => {
+                    p.partial = true;
+                }
+                ResultCode::StaleResults => {
+                    p.degraded = true;
+                }
+                _ => {}
             }
-            OutboundKind::Harvest { child } => {
-                if let GripReply::SearchResult { entries, .. } = reply {
-                    self.integrate_harvest(&child, entries, now);
-                }
-                Vec::new()
+            for e in entries {
+                let row = p.merged.entry(e.dn().to_string());
+                row.and_modify(|existing| existing.merge_from(&e))
+                    .or_insert(e);
             }
-            OutboundKind::SyncPull { child, sent } => {
-                match reply {
-                    GripReply::SyncDelta {
-                        full,
-                        epoch,
-                        version,
-                        at,
-                        entries,
-                        deletes,
-                        ..
-                    } => {
-                        self.record_child_success(&child);
-                        if self.obs.enabled {
-                            if let Some(state) = self.children.get(&child.to_string()) {
-                                state.rtt.record(now.since(sent).micros());
-                            }
-                        }
-                        self.integrate_sync(
-                            &child, full, epoch, version, at, entries, deletes, now,
-                        );
-                    }
-                    _ => {
-                        // Declined (or nonsense): scored against the
-                        // child's circuit like an unanswered pull.
-                        self.stats.sync_failures.bump();
-                        self.record_child_failure(&child, now);
-                    }
-                }
-                Vec::new()
-            }
-            OutboundKind::Chained {
-                query,
-                child,
-                sent,
-                span,
-            } => {
-                debug_assert_eq!(&child, from, "reply source mismatch");
-                // Any reply — whatever its code — proves the child is
-                // reachable: reset its failure streak and close its
-                // circuit (a successful half-open probe re-admits it).
-                self.record_child_success(&child);
-                if self.obs.enabled {
-                    if let Some(state) = self.children.get(&child.to_string()) {
-                        state.rtt.record(now.since(sent).micros());
-                    }
-                }
-                self.note_chain_span(query, &child, sent, span, now, reply_outcome(&reply));
-                let Some(p) = self.pending.get_mut(&query) else {
-                    return Vec::new();
-                };
-                p.outstanding.retain(|&o| o != out_id);
-                if let GripReply::SearchResult {
-                    code,
-                    entries,
-                    referrals,
-                    ..
-                } = reply
-                {
-                    match code {
-                        ResultCode::InsufficientAccess => {
-                            // The child will not tell *us*; point the
-                            // client at it directly (§10.4's referral
-                            // fallback in the absence of delegation).
-                            p.referrals.push(child);
-                        }
-                        ResultCode::PartialResults | ResultCode::Unavailable => {
-                            p.partial = true;
-                        }
-                        ResultCode::StaleResults => {
-                            p.degraded = true;
-                        }
-                        _ => {}
-                    }
-                    for e in entries {
-                        match p.merged.get_mut(&e.dn().to_string()) {
-                            Some(existing) => existing.merge_from(&e),
-                            None => {
-                                p.merged.insert(e.dn().to_string(), e);
-                            }
-                        }
-                    }
-                    p.referrals.extend(referrals);
-                }
-                if self
-                    .pending
-                    .get(&query)
-                    .is_some_and(|p| p.outstanding.is_empty())
-                {
-                    return self.finalize(query, now);
-                }
-                Vec::new()
-            }
+            p.referrals.extend(referrals);
         }
+        if p.outstanding.is_empty() {
+            return self.finalize(query, now);
+        }
+        Vec::new()
     }
 
     /// Record a `chain:<child>` span for one leg of a traced fan-out
@@ -2181,7 +2090,7 @@ impl Giis {
         now: SimTime,
         outcome: &str,
     ) {
-        let (Some(sink), Some(span)) = (self.obs.sink.as_deref(), span) else {
+        let (Some(sink), Some(span)) = (self.shared.sink.as_deref(), span) else {
             return;
         };
         let Some(p) = self.pending.get(&query) else {
@@ -2202,26 +2111,33 @@ impl Giis {
         });
     }
 
-    /// Breaker bookkeeping: a reply arrived from `child`.
-    fn record_child_success(&mut self, child: &LdapUrl) {
-        if self.config.breaker.is_none() {
+    /// `child` answered a request sent at `sent`. Any reply, whatever
+    /// its code, proves the child reachable: it feeds the RTT histogram,
+    /// resets the failure streak and closes the circuit (a successful
+    /// half-open probe re-admits the child).
+    fn child_answered(&mut self, child: &LdapUrl, sent: SimTime, now: SimTime) {
+        let Some(state) = self.children.get_mut(&child.to_string()) else {
             return;
+        };
+        if self.shared.enabled {
+            state.rtt.record(now.since(sent).micros());
         }
-        if let Some(state) = self.children.get_mut(&child.to_string()) {
+        if self.config.breaker.is_some() {
             state.consec_failures = 0;
             if state.circuit != Circuit::Closed {
                 state.circuit = Circuit::Closed;
-                self.stats.breaker_closes.bump();
+                self.shared.stats.breaker_closes.bump();
             }
         }
     }
 
-    /// Breaker bookkeeping: a chained request to `child` timed out.
-    fn record_child_failure(&mut self, child: &LdapUrl, now: SimTime) {
+    /// Breaker bookkeeping: a request to the child at `key` timed out or
+    /// was declined.
+    fn record_child_failure(&mut self, key: &str, now: SimTime) {
         let Some(bk) = self.config.breaker else {
             return;
         };
-        let Some(state) = self.children.get_mut(&child.to_string()) else {
+        let Some(state) = self.children.get_mut(key) else {
             return;
         };
         match state.circuit {
@@ -2230,7 +2146,7 @@ impl Giis {
                 state.circuit = Circuit::Open {
                     until: now + bk.cooldown,
                 };
-                self.stats.breaker_reopens.bump();
+                self.shared.stats.breaker_reopens.bump();
             }
             Circuit::Open { .. } => {}
             Circuit::Closed => {
@@ -2239,81 +2155,25 @@ impl Giis {
                     state.circuit = Circuit::Open {
                         until: now + bk.cooldown,
                     };
-                    self.stats.breaker_opens.bump();
+                    self.shared.stats.breaker_opens.bump();
                 }
             }
         }
-    }
-
-    fn integrate_harvest(&mut self, child: &LdapUrl, entries: Vec<Entry>, now: SimTime) {
-        let bits_per_element = match self.config.mode {
-            GiisMode::BloomChain {
-                bits_per_element, ..
-            } => Some(bits_per_element),
-            _ => None,
-        };
-        let key = child.to_string();
-        if !self.children.contains_key(&key) {
-            return;
-        }
-        if self.persist.is_some() {
-            self.wal_log(&WalOp::Harvest {
-                child: child.clone(),
-                entries: entries.clone(),
-                now,
-            });
-        }
-        let Some(state) = self.children.get_mut(&key) else {
-            return;
-        };
-        let stale: Vec<Dn> = state.harvested.drain(..).collect();
-        let mut bloom = bits_per_element.map(|b| {
-            let tokens: usize = entries.iter().map(Entry::attr_count).sum();
-            BloomFilter::for_capacity(tokens.max(8), b)
-        });
-        for e in &entries {
-            if let Some(bloom) = bloom.as_mut() {
-                for (attr, values) in e.attrs() {
-                    for v in values {
-                        bloom.insert(&attr_token(attr, v.as_str()));
-                    }
-                }
-            }
-            state.harvested.push(e.dn().clone());
-        }
-        state.bloom = bloom;
-        state.last_harvest = Some(now);
-        // One published snapshot per harvest: queries see either the
-        // child's old entry set or its new one, never a mix.
-        self.cache.mutate(|dit| {
-            for dn in &stale {
-                dit.delete(dn);
-            }
-            for e in entries {
-                dit.upsert(e);
-            }
-        });
     }
 
     fn finalize(&mut self, query: u64, now: SimTime) -> Vec<GiisAction> {
         let Some(p) = self.pending.remove(&query) else {
             return Vec::new();
         };
-        let mut entries = Vec::new();
-        for e in p.merged.into_values() {
-            // The GIIS applies its own policy on top of whatever the
-            // children released to it.
-            let Some(redacted) = self.config.security.policy_map.redact(&e, &p.requester) else {
-                continue;
-            };
-            if !p.spec.filter.matches(&redacted) {
-                continue;
-            }
-            entries.push(redacted.project(&p.spec.attrs));
-            if p.spec.size_limit != 0 && entries.len() >= p.spec.size_limit as usize {
-                break;
-            }
-        }
+        // The GIIS applies its own policy on top of whatever the
+        // children released to it.
+        let policy = &self.config.security.policy_map;
+        let entries: Vec<Entry> = p
+            .merged
+            .values()
+            .filter_map(|e| release(policy, &p.spec, &p.requester, e))
+            .take(size_limit(&p.spec))
+            .collect();
         let code = if p.partial || !p.outstanding.is_empty() {
             ResultCode::PartialResults
         } else if p.degraded {
@@ -2322,31 +2182,21 @@ impl Giis {
         } else {
             ResultCode::Success
         };
-        self.stats.entries_returned.add(entries.len() as u64);
-        self.stats.referrals_issued.add(p.referrals.len() as u64);
-        if self.obs.enabled {
-            self.obs.search_us.record(now.since(p.started_at).micros());
-        }
-        if let (Some(sink), Some(ctx), Some(span)) = (self.obs.sink.as_deref(), p.trace, p.span) {
-            sink.record(SpanRecord {
-                trace: ctx.trace,
-                span,
-                parent: Some(ctx.parent),
-                service: self.config.url.to_string(),
-                name: "giis.search".into(),
-                start: p.started_at,
-                end: now,
-                outcome: code.label().into(),
-            });
-        }
+        self.shared.stats.entries_returned.add(entries.len() as u64);
+        self.shared
+            .stats
+            .referrals_issued
+            .add(p.referrals.len() as u64);
+        let span = p.trace.zip(p.span);
+        self.shared
+            .searched(&self.config.url, span, p.started_at, now, code.label());
         if p.cacheable && self.config.result_cache_ttl.is_some() && code == ResultCode::Success {
             // Partial answers are never cached: a healed partition should
             // become visible at the next query, not a TTL later.
-            self.result_cache.write().insert(
-                p.cache_key,
+            self.shared.result_cache.write().insert(
+                cache_key(&p.spec, &p.requester),
                 CachedResult {
                     at: now,
-                    code,
                     entries: entries.clone(),
                     referrals: p.referrals.clone(),
                 },
@@ -2363,99 +2213,37 @@ impl Giis {
         }]
     }
 
-    /// Evaluate a subscription's spec against local state.
-    fn subscription_snapshot(
-        &self,
-        spec: &SearchSpec,
-        requester: &Requester,
-        now: SimTime,
-    ) -> Vec<Entry> {
-        match self.config.mode {
-            GiisMode::Name => self.name_answer(spec, requester, now).0,
-            _ => self.local_answer(spec, requester),
-        }
-    }
-
-    fn note_delivery(&mut self, client: ClientId, id: RequestId, entries: &[Entry]) {
-        let digest = result_digest(entries);
-        for (c, i, sub) in self.subs.iter_mut() {
-            if c == client && i == id {
-                sub.last_digest = Some(digest);
-            }
-        }
-    }
-
     /// Evaluate due subscriptions; returns the updates to deliver.
     fn subscription_updates(&mut self, now: SimTime) -> Vec<GiisAction> {
-        let mut due: Vec<(
-            ClientId,
-            RequestId,
-            SearchSpec,
-            SubscriptionMode,
-            Option<u64>,
-        )> = Vec::new();
-        for (client, id, sub) in self.subs.iter_mut() {
-            due.push((client, id, sub.spec.clone(), sub.mode, sub.last_digest));
-        }
         let mut out = Vec::new();
-        for (client, id, spec, mode, last_digest) in due {
-            let requester = self
-                .sub_requester
-                .get(&(client, id))
-                .cloned()
-                .unwrap_or_else(Requester::anonymous);
-            match mode {
-                SubscriptionMode::Periodic(period) => {
-                    let due_at = self.sub_next_due.get(&(client, id)).copied().unwrap_or(now);
-                    if now < due_at {
-                        continue;
-                    }
-                    let entries = self.subscription_snapshot(&spec, &requester, now);
-                    self.note_delivery(client, id, &entries);
-                    self.sub_next_due.insert((client, id), due_at + period);
-                    out.push(GiisAction::Reply {
-                        client,
-                        reply: GripReply::Update { id, entries },
-                    });
-                }
-                SubscriptionMode::OnChange => {
-                    let entries = self.subscription_snapshot(&spec, &requester, now);
-                    if last_digest == Some(result_digest(&entries)) {
-                        continue;
-                    }
-                    self.note_delivery(client, id, &entries);
-                    out.push(GiisAction::Reply {
-                        client,
-                        reply: GripReply::Update { id, entries },
-                    });
-                }
+        for (client, id, spec, requester) in self.subs.due(now) {
+            let (entries, _) = self
+                .read_path()
+                .entries(&spec, &requester, now)
+                .unwrap_or_default();
+            if let Some(reply) = self.subs.deliver(client, id, entries) {
+                out.push(GiisAction::Reply { client, reply });
             }
         }
         out
     }
 
-    /// Advance timers: registry sweep, parent registrations, harvest
-    /// refreshes, fan-out deadlines, and subscription deliveries. Call at
+    /// Advance timers: registry sweep, parent registrations, replica
+    /// pulls, fan-out deadlines, and subscription deliveries. Call at
     /// least as often as the finest deadline granularity required.
     pub fn tick(&mut self, now: SimTime) -> Vec<GiisAction> {
         let mut actions = Vec::new();
 
         // Keep the monitoring snapshot warm (soft-state refresh).
-        if self.obs.enabled {
-            let due = match self.monitor.read().as_ref() {
-                Some((at, _)) => now.since(*at) >= self.config.monitoring_refresh,
-                None => true,
-            };
-            if due {
-                let built = Arc::new(self.build_monitoring(now));
-                *self.monitor.write() = Some((now, built));
-            }
+        if self.shared.enabled {
+            self.monitoring_entries(now);
         }
 
-        // Soft-state sweep: purge expired children and their cache rows
-        // (one published snapshot for the whole sweep). Journaled only
-        // when something *can* expire — sweeps are idempotent on replay,
-        // but an unconditional record per tick would bloat the WAL.
+        // Soft-state sweep: purge expired children, their cache rows
+        // (one published snapshot for the whole sweep) and their pulls
+        // in flight. Journaled only when something *can* expire — sweeps
+        // are idempotent on replay, but an unconditional record per tick
+        // would bloat the WAL.
         if self.persist.is_some()
             && self
                 .registry
@@ -2466,13 +2254,13 @@ impl Giis {
         }
         let mut purged: Vec<Dn> = Vec::new();
         for url in self.registry.sweep(now) {
-            self.stats.expirations.bump();
+            self.shared.stats.expirations.bump();
             if let Some(state) = self.children.remove(&url.to_string()) {
                 purged.extend(state.harvested);
             }
         }
         if !purged.is_empty() {
-            self.cache.mutate(|dit| {
+            self.shared.cache.mutate(|dit| {
                 for dn in &purged {
                     dit.delete(dn);
                 }
@@ -2481,7 +2269,8 @@ impl Giis {
 
         // Result-cache expiry (bound memory; stale rows are useless).
         if let Some(ttl) = self.config.result_cache_ttl {
-            self.result_cache
+            self.shared
+                .result_cache
                 .write()
                 .retain(|_, c| now.since(c.at) < ttl);
         }
@@ -2494,67 +2283,8 @@ impl Giis {
             });
         }
 
-        // Harvest refreshes.
-        if let Some(refresh) = self.harvest_refresh() {
-            let due: Vec<LdapUrl> = self
-                .registry
-                .active(now)
-                .filter(|reg| {
-                    self.children
-                        .get(&reg.message.service_url.to_string())
-                        .is_none_or(|s| s.last_harvest.is_none_or(|at| now.since(at) >= refresh))
-                })
-                .map(|reg| reg.message.service_url.clone())
-                .collect();
-            for child in due {
-                // Mark eagerly so a slow child is not re-harvested every
-                // tick while its reply is in flight.
-                if let Some(state) = self.children.get_mut(&child.to_string()) {
-                    state.last_harvest = Some(now);
-                }
-                actions.extend(self.issue_harvest(child));
-            }
-        }
-
-        // Federation sync pulls: abandon overdue pulls (scored against
-        // the child's circuit), then pull every due child the breaker
-        // admits — a cooled-down open circuit flips to half-open and
-        // this pull doubles as the probe.
-        if let GiisMode::Federated { interval, deadline } = self.config.mode {
-            let overdue: Vec<(u64, LdapUrl)> = self
-                .outbound
-                .iter()
-                .filter_map(|(&id, kind)| match kind {
-                    OutboundKind::SyncPull { child, sent } if now.since(*sent) >= deadline => {
-                        Some((id, child.clone()))
-                    }
-                    _ => None,
-                })
-                .collect();
-            for (id, child) in overdue {
-                self.outbound.remove(&id);
-                self.stats.sync_failures.bump();
-                self.record_child_failure(&child, now);
-            }
-            let due: Vec<LdapUrl> = self
-                .registry
-                .active(now)
-                .filter(|reg| {
-                    self.children
-                        .get(&reg.message.service_url.to_string())
-                        .is_none_or(|s| s.last_harvest.is_none_or(|at| now.since(at) >= interval))
-                })
-                .map(|reg| reg.message.service_url.clone())
-                .collect();
-            for child in due {
-                if self.sync_inflight(&child) || !self.breaker_admits(&child, now) {
-                    continue;
-                }
-                if let Some(state) = self.children.get_mut(&child.to_string()) {
-                    state.last_harvest = Some(now);
-                }
-                actions.extend(self.issue_sync_pull(child, now));
-            }
+        if let Some(r) = self.config.replica() {
+            actions.extend(self.schedule_pulls(r, now));
         }
 
         // Subscription deliveries (local modes only; the table is empty
@@ -2571,63 +2301,23 @@ impl Giis {
             .map(|(&q, _)| q)
             .collect();
         for query in retry_due {
+            let legs = self.take_legs(query);
             let Some(p) = self.pending.get_mut(&query) else {
                 continue;
             };
             p.retry_at = None;
-            let spec = p.spec.clone();
-            let tctx = p.trace;
-            let old = std::mem::take(&mut p.outstanding);
-            let mut fresh = Vec::with_capacity(old.len());
-            let mut sends = Vec::with_capacity(old.len());
-            for out_id in old {
-                match self.outbound.remove(&out_id) {
-                    Some(OutboundKind::Chained {
-                        query: q,
-                        child,
-                        sent,
-                        span,
-                    }) => {
-                        let new_id = self.next_outbound;
-                        self.next_outbound += 1;
-                        // The retry reuses the leg's span (and keeps the
-                        // original send time), so its RTT and span cover
-                        // first-send to eventual reply.
-                        self.outbound.insert(
-                            new_id,
-                            OutboundKind::Chained {
-                                query: q,
-                                child: child.clone(),
-                                sent,
-                                span,
-                            },
-                        );
-                        self.stats.chain_retries.bump();
-                        fresh.push(new_id);
-                        sends.push(GiisAction::SendRequest {
-                            to: child,
-                            request: GripRequest::Search {
-                                id: new_id,
-                                spec: spec.clone(),
-                            },
-                            trace: match (tctx, span) {
-                                (Some(ctx), Some(s)) => Some(TraceContext {
-                                    trace: ctx.trace,
-                                    parent: s,
-                                }),
-                                _ => None,
-                            },
-                        });
-                    }
-                    Some(other) => {
-                        self.outbound.insert(out_id, other);
-                        fresh.push(out_id);
-                    }
-                    None => {}
+            let (spec, trace) = (p.spec.clone(), p.trace);
+            for (child, sent, span) in legs {
+                // The retry reuses the leg's span and keeps its original
+                // send time, so its RTT and span cover first send to
+                // eventual reply.
+                let (id, send) = self.send_leg(query, child, sent, span, &spec, trace);
+                self.shared.stats.chain_retries.bump();
+                if let Some(p) = self.pending.get_mut(&query) {
+                    p.outstanding.push(id);
                 }
+                actions.push(send);
             }
-            p.outstanding = fresh;
-            actions.extend(sends);
         }
 
         // Expired fan-outs answer partially; each unanswered child is a
@@ -2639,22 +2329,13 @@ impl Giis {
             .map(|(&q, _)| q)
             .collect();
         for query in expired {
-            self.stats.timeouts.bump();
-            let mut unanswered: Vec<(LdapUrl, SimTime, Option<u64>)> = Vec::new();
-            if let Some(p) = self.pending.get_mut(&query) {
-                for out_id in std::mem::take(&mut p.outstanding) {
-                    if let Some(OutboundKind::Chained {
-                        child, sent, span, ..
-                    }) = self.outbound.remove(&out_id)
-                    {
-                        unanswered.push((child, sent, span));
-                    }
-                }
-                p.partial = true;
-            }
-            for (child, sent, span) in unanswered {
+            self.shared.stats.timeouts.bump();
+            for (child, sent, span) in self.take_legs(query) {
                 self.note_chain_span(query, &child, sent, span, now, "timeout");
-                self.record_child_failure(&child, now);
+                self.record_child_failure(&child.to_string(), now);
+            }
+            if let Some(p) = self.pending.get_mut(&query) {
+                p.partial = true;
             }
             actions.extend(self.finalize(query, now));
         }
@@ -2667,12 +2348,23 @@ impl Giis {
         actions
     }
 
+    /// Take `query`'s unanswered legs (child, first send, span) out of
+    /// the outbound table.
+    fn take_legs(&mut self, query: u64) -> Vec<(LdapUrl, SimTime, Option<u64>)> {
+        let Some(p) = self.pending.get_mut(&query) else {
+            return Vec::new();
+        };
+        std::mem::take(&mut p.outstanding)
+            .into_iter()
+            .filter_map(|id| self.outbound.remove(&id))
+            .map(|leg| (leg.child, leg.sent, leg.span))
+            .collect()
+    }
+
     /// Forget a disconnected client's session state.
     pub fn drop_client(&mut self, client: ClientId) {
-        self.sessions.write().remove(&client);
+        self.shared.sessions.write().remove(&client);
         self.subs.drop_subscriber(client);
-        self.sub_requester.retain(|(c, _), _| *c != client);
-        self.sub_next_due.retain(|(c, _), _| *c != client);
     }
 
     /// Number of active subscriptions.
@@ -2684,6 +2376,7 @@ impl Giis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gis_gsi::SecurityPolicy;
     use gis_netsim::{ms, secs};
     use gis_proto::TraceId;
 
@@ -3259,6 +2952,99 @@ mod tests {
             )),
             "refresh harvest goes straight to search: {actions:?}"
         );
+    }
+
+    #[test]
+    fn credentialed_sync_pull_binds_first() {
+        use gis_gsi::CertAuthority;
+        let ca = CertAuthority::new("/O=Grid/CN=CA", 77);
+        let mut config = GiisConfig::federated(url("giis.fed"), Dn::root(), secs(60), secs(5));
+        config.security =
+            SecurityPolicy::anonymous().with_credential(ca.issue("/O=Grid/CN=giis.fed"));
+        let mut giis = Giis::new(config, secs(30), secs(90));
+        let actions = giis.handle_grrp(reg("giis.site", "o=site", t(0)), t(0));
+        let bind_id = match &actions[..] {
+            [GiisAction::SendRequest {
+                request: GripRequest::Bind { id, .. },
+                ..
+            }] => *id,
+            other => panic!("expected bind, got {other:?}"),
+        };
+        let actions = giis.handle_reply(
+            &url("giis.site"),
+            GripReply::BindResult {
+                id: bind_id,
+                ok: true,
+                subject: Some("/O=Grid/CN=giis.fed".into()),
+            },
+            t(0),
+        );
+        assert!(
+            matches!(
+                &actions[..],
+                [GiisAction::SendRequest {
+                    request: GripRequest::SyncPull { cookie: None, .. },
+                    ..
+                }]
+            ),
+            "a bound puller then syncs: {actions:?}"
+        );
+        assert_eq!(giis.stats().sync_pulls, 1);
+    }
+
+    #[test]
+    fn refused_bind_still_pulls() {
+        use gis_gsi::CertAuthority;
+        let ca = CertAuthority::new("/O=Grid/CN=CA", 78);
+        for mode in [
+            GiisMode::Harvest { refresh: secs(60) },
+            GiisMode::Federated {
+                interval: secs(60),
+                deadline: secs(5),
+            },
+        ] {
+            let mut config = GiisConfig::chaining(url("giis.p"), Dn::root());
+            config.mode = mode;
+            config.security =
+                SecurityPolicy::anonymous().with_credential(ca.issue("/O=Grid/CN=giis.p"));
+            let mut giis = Giis::new(config, secs(30), secs(90));
+            let actions = giis.handle_grrp(reg("gris.anon", "hn=a", t(0)), t(0));
+            let bind_id = match &actions[..] {
+                [GiisAction::SendRequest {
+                    request: GripRequest::Bind { id, .. },
+                    ..
+                }] => *id,
+                other => panic!("{mode:?}: expected bind, got {other:?}"),
+            };
+            // A child without a trust store refuses every bind.
+            let refused = GripReply::BindResult {
+                id: bind_id,
+                ok: false,
+                subject: None,
+            };
+            let actions = giis.handle_reply(&url("gris.anon"), refused, t(0));
+            let pulled = matches!(
+                (&actions[..], mode),
+                (
+                    [GiisAction::SendRequest {
+                        request: GripRequest::Search { .. },
+                        ..
+                    }],
+                    GiisMode::Harvest { .. },
+                ) | (
+                    [GiisAction::SendRequest {
+                        request: GripRequest::SyncPull { .. },
+                        ..
+                    }],
+                    GiisMode::Federated { .. },
+                )
+            );
+            assert!(
+                pulled,
+                "{mode:?}: a refused bind goes on to the anonymous pull: {actions:?}"
+            );
+            assert_eq!(giis.stats().harvests + giis.stats().sync_pulls, 1);
+        }
     }
 
     #[test]
@@ -4010,5 +3796,170 @@ mod tests {
         let giis = harvest_giis_with(storage, t(100));
         assert_eq!(giis.active_children(t(100)).len(), 0);
         assert_eq!(giis.cached_entries(), 0);
+    }
+
+    /// Pull `giis` with a sync request from `client`: (full, entries,
+    /// deletes, cookie of the reply).
+    fn sync_pull(
+        giis: &mut Giis,
+        client: ClientId,
+        cookie: Option<SyncCookie>,
+        now: SimTime,
+    ) -> (bool, Vec<Entry>, Vec<Dn>, SyncCookie) {
+        let request = GripRequest::SyncPull {
+            id: 5,
+            cookie,
+            subtrees: Vec::new(),
+        };
+        match giis.handle_request(client, request, now).as_slice() {
+            [GiisAction::Reply {
+                reply:
+                    GripReply::SyncDelta {
+                        full,
+                        epoch,
+                        version,
+                        entries,
+                        deletes,
+                        ..
+                    },
+                ..
+            }] => (
+                *full,
+                entries.clone(),
+                deletes.clone(),
+                SyncCookie {
+                    epoch: *epoch,
+                    version: *version,
+                },
+            ),
+            other => panic!("expected a sync reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sync_pull_is_redacted_for_the_puller() {
+        use gis_gsi::{Acl, Grant, Principal};
+        let mut config = GiisConfig::chaining(url("giis.h"), Dn::root());
+        config.mode = GiisMode::Harvest { refresh: secs(60) };
+        // Anonymous users see hosts without their `secret`, and not
+        // `hn=b` at all; authenticated users see everything.
+        let mut policy = PolicyMap::with_default(
+            Acl::default()
+                .with_rule(
+                    Principal::Anonymous,
+                    Grant::Attrs(vec!["objectclass".into(), "system".into()]),
+                )
+                .with_rule(Principal::Authenticated, Grant::All),
+        );
+        policy.set(Dn::parse("hn=b").unwrap(), Acl::authenticated_only());
+        config.security.policy_map = policy;
+        let mut giis = Giis::new(config, secs(30), secs(300));
+        let host = |hn: &str| {
+            Entry::at(&format!("hn={hn}"))
+                .unwrap()
+                .with_class("computer")
+                .with("system", "linux")
+                .with("secret", "s3cr3t")
+        };
+        let actions = giis.handle_grrp(reg("gris.a", "", t(0)), t(0));
+        let harvest = sends(&actions)[0].1;
+        giis.handle_reply(
+            &url("gris.a"),
+            GripReply::SearchResult {
+                id: harvest,
+                code: ResultCode::Success,
+                entries: vec![host("a"), host("b")],
+                referrals: vec![],
+            },
+            t(0),
+        );
+        // Client 2 proved its identity on the transport.
+        giis.query_path()
+            .authenticate_session(2, Requester::subject("/O=Grid/CN=root"));
+
+        let (full, anon, _, anon_cookie) = sync_pull(&mut giis, 1, None, t(1));
+        assert!(full);
+        assert_eq!(anon.len(), 1, "hn=b is hidden from anonymous pullers");
+        assert!(!anon[0].has("secret"), "anonymous pull leaks: {anon:?}");
+        assert_eq!(anon[0].get_str("system"), Some("linux"));
+        assert!(
+            gis_ldap::fresh_at(&anon[0]).is_some(),
+            "lineage stamps survive redaction"
+        );
+        let (_, bound, _, bound_cookie) = sync_pull(&mut giis, 2, None, t(1));
+        assert_eq!(bound.len(), 2);
+        assert!(bound.iter().all(|e| e.has("secret")), "{bound:?}");
+
+        // The child drops hn=b: only the bound puller learns of it.
+        giis.handle_grrp(reg("gris.a", "", t(50)), t(50));
+        let harvest = sends(&giis.tick(t(61)))[0].1;
+        giis.handle_reply(
+            &url("gris.a"),
+            GripReply::SearchResult {
+                id: harvest,
+                code: ResultCode::Success,
+                entries: vec![host("a")],
+                referrals: vec![],
+            },
+            t(61),
+        );
+        let (full, _, deletes, _) = sync_pull(&mut giis, 1, Some(anon_cookie), t(62));
+        assert!(!full);
+        assert!(deletes.is_empty(), "hidden delete leaked: {deletes:?}");
+        let (full, _, deletes, _) = sync_pull(&mut giis, 2, Some(bound_cookie), t(62));
+        assert!(!full);
+        assert_eq!(deletes, vec![Dn::parse("hn=b").unwrap()]);
+    }
+
+    #[test]
+    fn silent_child_keeps_at_most_one_pull_in_flight() {
+        let mut config = GiisConfig::chaining(url("giis.h"), Dn::root());
+        config.mode = GiisMode::Harvest { refresh: secs(10) };
+        let mut giis = Giis::new(config, secs(30), secs(90));
+        giis.handle_grrp(reg("gris.silent", "hn=s", t(0)), t(0));
+        for round in 1..=10 {
+            // The child keeps refreshing its registration but never
+            // answers a harvest.
+            let now = t(round * 10);
+            giis.handle_grrp(reg("gris.silent", "hn=s", now), now);
+            giis.tick(now);
+            let pulls = giis.children.values().filter(|s| s.pull.is_some()).count();
+            let outstanding = giis.outbound.len() + pulls;
+            assert!(
+                outstanding <= 1,
+                "round {round}: {outstanding} requests outstanding"
+            );
+        }
+        assert_eq!(giis.stats().harvests, 11, "one harvest per refresh");
+    }
+
+    #[test]
+    fn harvest_slower_than_refresh_is_abandoned() {
+        let mut config = GiisConfig::chaining(url("giis.h"), Dn::root());
+        config.mode = GiisMode::Harvest { refresh: secs(10) };
+        let mut giis = Giis::new(config, secs(30), secs(90));
+        let harvest_id = |actions: &[GiisAction]| match actions {
+            [GiisAction::SendRequest {
+                request: GripRequest::Search { id, .. },
+                ..
+            }] => *id,
+            other => panic!("expected harvest, got {other:?}"),
+        };
+        let answer = |id| GripReply::SearchResult {
+            id,
+            code: ResultCode::Success,
+            entries: vec![Entry::at("hn=s").unwrap().with_class("computer")],
+            referrals: vec![],
+        };
+        let first = harvest_id(&giis.handle_grrp(reg("gris.slow", "hn=s", t(0)), t(0)));
+        // A harvest gets one refresh interval to answer: at the next
+        // refresh it is abandoned and a fresh one replaces it.
+        let second = harvest_id(&giis.tick(t(10)));
+        assert_ne!(first, second);
+        giis.handle_reply(&url("gris.slow"), answer(first), t(11));
+        assert_eq!(giis.cached_entries(), 0, "the late reply is dropped");
+        // A reply inside the interval lands.
+        giis.handle_reply(&url("gris.slow"), answer(second), t(12));
+        assert_eq!(giis.cached_entries(), 1);
     }
 }

@@ -37,8 +37,8 @@ use gis_netsim::{SimDuration, SimTime};
 use gis_proto::metrics::{self, Gauge, Histogram, MetricsRegistry, PackedPair};
 use gis_proto::trace::{SpanRecord, TraceContext, TraceSink};
 use gis_proto::{
-    result_digest, Counter, GripReply, GripRequest, GrrpMessage, RegistrationAgent, RequestId,
-    ResultCode, SearchSpec, SubscriptionMode, SubscriptionTable,
+    Counter, GripReply, GripRequest, GrrpMessage, RegistrationAgent, ResultCode, SearchSpec,
+    SubscriptionTable,
 };
 use gis_store::{
     GroupSnap, Journal, JournalOptions, RecoveryReport, SnapshotContent, Storage, WalOp,
@@ -270,9 +270,7 @@ pub struct Gris {
     /// The GRRP refresh agent; add directory targets to join VOs.
     pub agent: RegistrationAgent,
     sessions: Arc<RwLock<BTreeMap<ClientId, Requester>>>,
-    subs: SubscriptionTable<ClientId>,
-    sub_requester: BTreeMap<(ClientId, RequestId), Requester>,
-    sub_next_due: BTreeMap<(ClientId, RequestId), SimTime>,
+    subs: SubscriptionTable<ClientId, Requester>,
     stats: Arc<GrisStatsAtomic>,
     obs: Obs,
     monitor: MonitorCell,
@@ -822,8 +820,6 @@ impl Gris {
             agent,
             sessions: Arc::new(RwLock::new(BTreeMap::new())),
             subs: SubscriptionTable::new(),
-            sub_requester: BTreeMap::new(),
-            sub_next_due: BTreeMap::new(),
             stats: Arc::new(GrisStatsAtomic::default()),
             obs,
             monitor: Arc::new(RwLock::new(None)),
@@ -1094,21 +1090,15 @@ impl Gris {
             }
             GripRequest::Subscribe { id, spec, mode } => {
                 let requester = self.requester_of(client);
-                self.subs.subscribe(client, id, spec.clone(), mode);
-                self.sub_requester.insert((client, id), requester.clone());
-                if let SubscriptionMode::Periodic(period) = mode {
-                    self.sub_next_due.insert((client, id), now + period);
-                }
                 // Initial snapshot is delivered immediately.
                 let (_, entries) = self.search(&spec, &requester, now);
-                self.note_delivery(client, id, &entries);
+                self.subs.subscribe(client, id, spec, mode, requester, now);
                 self.stats.updates_sent.bump();
-                vec![GripReply::Update { id, entries }]
+                let update = self.subs.deliver(client, id, entries);
+                vec![update.expect("a new subscription delivers its snapshot")]
             }
             GripRequest::Unsubscribe { id } => {
                 let existed = self.subs.unsubscribe(client, id);
-                self.sub_requester.remove(&(client, id));
-                self.sub_next_due.remove(&(client, id));
                 vec![GripReply::SubscriptionDone {
                     id,
                     code: if existed {
@@ -1144,8 +1134,6 @@ impl Gris {
     pub fn drop_client(&mut self, client: ClientId) {
         self.sessions.write().remove(&client);
         self.subs.drop_subscriber(client);
-        self.sub_requester.retain(|(c, _), _| *c != client);
-        self.sub_next_due.retain(|(c, _), _| *c != client);
     }
 
     /// Advance timers: emit due GRRP registrations and subscription
@@ -1174,60 +1162,11 @@ impl Gris {
             updates: Vec::new(),
         };
         self.obs.subscriptions.set(self.subs.len() as u64);
-        // Evaluate subscriptions. Collect due work first to avoid holding
-        // a borrow of `subs` across the search.
-        let mut due: Vec<(
-            ClientId,
-            RequestId,
-            SearchSpec,
-            SubscriptionMode,
-            Option<u64>,
-        )> = Vec::new();
-        for (client, id, sub) in self.subs.iter_mut() {
-            match sub.mode {
-                SubscriptionMode::Periodic(_) => {
-                    due.push((client, id, sub.spec.clone(), sub.mode, sub.last_digest))
-                }
-                SubscriptionMode::OnChange => {
-                    due.push((client, id, sub.spec.clone(), sub.mode, sub.last_digest))
-                }
-            }
-        }
-        for (client, id, spec, mode, last_digest) in due {
-            match mode {
-                SubscriptionMode::Periodic(period) => {
-                    let due_at = self.sub_next_due.get(&(client, id)).copied().unwrap_or(now);
-                    if now < due_at {
-                        continue;
-                    }
-                    let requester = self
-                        .sub_requester
-                        .get(&(client, id))
-                        .cloned()
-                        .unwrap_or_else(Requester::anonymous);
-                    let (_, entries) = self.search(&spec, &requester, now);
-                    self.note_delivery(client, id, &entries);
-                    self.sub_next_due.insert((client, id), due_at + period);
-                    self.stats.updates_sent.bump();
-                    out.updates
-                        .push((client, GripReply::Update { id, entries }));
-                }
-                SubscriptionMode::OnChange => {
-                    let requester = self
-                        .sub_requester
-                        .get(&(client, id))
-                        .cloned()
-                        .unwrap_or_else(Requester::anonymous);
-                    let (_, entries) = self.search(&spec, &requester, now);
-                    let digest = result_digest(&entries);
-                    if last_digest == Some(digest) {
-                        continue;
-                    }
-                    self.note_delivery(client, id, &entries);
-                    self.stats.updates_sent.bump();
-                    out.updates
-                        .push((client, GripReply::Update { id, entries }));
-                }
+        for (client, id, spec, requester) in self.subs.due(now) {
+            let (_, entries) = self.search(&spec, &requester, now);
+            if let Some(update) = self.subs.deliver(client, id, entries) {
+                self.stats.updates_sent.bump();
+                out.updates.push((client, update));
             }
         }
         // Checkpoint the slot caches when they changed since the last
@@ -1238,15 +1177,6 @@ impl Gris {
             self.snapshot_persist();
         }
         out
-    }
-
-    fn note_delivery(&mut self, client: ClientId, id: RequestId, entries: &[Entry]) {
-        let digest = result_digest(entries);
-        for (c, i, sub) in self.subs.iter_mut() {
-            if c == client && i == id {
-                sub.last_digest = Some(digest);
-            }
-        }
     }
 
     fn read_path(&self) -> ReadPathRef<'_> {
@@ -1304,6 +1234,7 @@ mod tests {
     use gis_gsi::{Acl, CertAuthority, Grant, Principal, TrustStore};
     use gis_ldap::Filter;
     use gis_netsim::secs;
+    use gis_proto::SubscriptionMode;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + secs(s)

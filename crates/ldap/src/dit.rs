@@ -422,41 +422,13 @@ impl Dit {
     /// near-linear scans; when the host has more than one core the
     /// independent indexes are built on separate threads.
     pub fn bulk_load(batch: Vec<Entry>) -> Dit {
-        Dit::from_keyed(
-            batch
-                .into_iter()
-                .map(|mut e| {
-                    e.normalize_naming_attr();
-                    (key(e.dn()), Arc::new(e))
-                })
-                .collect(),
-        )
-    }
-
-    /// [`bulk_load`](Dit::bulk_load) over already-shared entries: handles
-    /// that still reference another tree's storage (a federation parent
-    /// rebuilding its cache keeps every unaffected child's entries
-    /// shared) are indexed without deep-copying attribute data. An entry
-    /// missing its naming attribute is normalized copy-on-write.
-    pub fn bulk_load_shared(batch: Vec<Arc<Entry>>) -> Dit {
-        Dit::from_keyed(
-            batch
-                .into_iter()
-                .map(|mut e| {
-                    let needs_norm = e.dn().rdn().is_some_and(|rdn| {
-                        !e.get(rdn.attr()).iter().any(|v| v.as_str() == rdn.value())
-                    });
-                    if needs_norm {
-                        Arc::make_mut(&mut e).normalize_naming_attr();
-                    }
-                    (key(e.dn()), e)
-                })
-                .collect(),
-        )
-    }
-
-    /// Shared core of the bulk builders: normalized, keyed entries in.
-    fn from_keyed(mut keyed: Vec<(String, Arc<Entry>)>) -> Dit {
+        let mut keyed: Vec<(String, Arc<Entry>)> = batch
+            .into_iter()
+            .map(|mut e| {
+                e.normalize_naming_attr();
+                (key(e.dn()), Arc::new(e))
+            })
+            .collect();
         // Stable sort + keep-last dedup reproduces upsert's
         // last-writer-wins semantics for duplicate DNs.
         keyed.sort_by(|a, b| a.0.cmp(&b.0));

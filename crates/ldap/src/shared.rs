@@ -85,17 +85,6 @@ impl SharedDit {
         out
     }
 
-    /// Replace the whole tree with an externally-built one (e.g. a
-    /// [`Dit::bulk_load`] of a full-sync batch) and publish it. Writers
-    /// serialize on the master mutex exactly as in [`mutate`]
-    /// (SharedDit::mutate), so replacement cannot interleave with a
-    /// mutation batch.
-    pub fn replace(&self, dit: Dit) {
-        let mut master = self.master.lock();
-        *master = dit;
-        *self.published.write() = Arc::new(master.clone());
-    }
-
     /// Entry count of the current snapshot.
     pub fn len(&self) -> usize {
         self.snapshot().len()

@@ -28,7 +28,9 @@ use std::time::Duration;
 use grid_info_services::core::{LiveRuntime, ReplicaBalancer, ServeOptions};
 use grid_info_services::giis::{Giis, GiisAction, GiisConfig, GiisMode};
 use grid_info_services::gris::{DynamicHostProvider, Gris, GrisConfig, HostSpec};
-use grid_info_services::ldap::{fresh_at, Dn, Entry, Filter, LdapUrl};
+use grid_info_services::ldap::{
+    fresh_at, Dn, Entry, Filter, LdapUrl, FRESH_AT_ATTR, SYNC_VERSION_ATTR,
+};
 use grid_info_services::netsim::{secs, SimDuration, SimTime};
 use grid_info_services::proto::{GripReply, GripRequest, GrrpMessage, ResultCode, SearchSpec};
 use grid_info_services::store::{
@@ -481,6 +483,98 @@ fn sharded_parent_pulls_only_configured_subtrees() {
         parent_slice(&parent, &child_ns(1)).is_empty(),
         "out-of-shard subtree must not leak into the replica"
     );
+}
+
+/// One round for replica roots of any mode: pump the children, then
+/// for each root refresh every child's registration (except `lapsed`'s;
+/// registrations live 25 s), tick, and answer each pull it sends —
+/// harvest searches and sync pulls alike — from the child engines.
+fn feed_roots(roots: &mut [Giis], children: &mut [Child], now: SimTime, lapsed: Option<usize>) {
+    for c in children.iter_mut() {
+        c.pump(now, false);
+    }
+    for root in roots.iter_mut() {
+        let mut actions = Vec::new();
+        for (i, c) in children.iter().enumerate() {
+            if lapsed != Some(i) {
+                let msg = GrrpMessage::register(c.url.clone(), c.ns.clone(), now, secs(25));
+                actions.extend(root.handle_grrp(msg, now));
+            }
+        }
+        actions.extend(root.tick(now));
+        for a in actions {
+            let GiisAction::SendRequest { to, request, .. } = a else {
+                continue;
+            };
+            let ci = children.iter().position(|c| c.url == to).expect("a child");
+            let reply = match children[ci].giis.handle_request(7, request, now).pop() {
+                Some(GiisAction::Reply { reply, .. }) => reply,
+                other => panic!("children answer pulls synchronously: {other:?}"),
+            };
+            assert!(root.handle_reply(&to, reply, now).is_empty());
+        }
+    }
+}
+
+/// A root's replica keyed by DN, without the lineage stamps only sync
+/// replies carry.
+fn unstamped(root: &Giis) -> BTreeMap<String, Entry> {
+    root.cache_snapshot()
+        .iter()
+        .map(|e| {
+            let mut e = e.clone();
+            e.remove(SYNC_VERSION_ATTR);
+            e.remove(FRESH_AT_ATTR);
+            (e.dn().to_string(), e)
+        })
+        .collect()
+}
+
+/// A Harvest root is a replica fed by full pulls; a Federated root is
+/// the same replica fed by sync pulls. Fed the same three children, the
+/// two hold the same tree: at the start, after one child changes, and
+/// after another expires.
+#[test]
+fn harvest_and_federated_roots_hold_the_same_replica() {
+    let start = t(0);
+    let mut children: Vec<Child> = (0..3).map(|i| Child::new(i, None, start)).collect();
+    for (i, c) in children.iter_mut().enumerate() {
+        for key in 0..3u8 {
+            c.truth.insert(key, truth_entry(i, key, key));
+        }
+    }
+    let mut harvest = GiisConfig::chaining(LdapUrl::server("giis.harvest"), Dn::root());
+    harvest.mode = GiisMode::Harvest { refresh: secs(10) };
+    let federated =
+        GiisConfig::federated(LdapUrl::server("giis.fed"), Dn::root(), secs(10), secs(2));
+    let mut roots = [
+        Giis::new(harvest, secs(500), secs(1500)),
+        Giis::new(federated, secs(500), secs(1500)),
+    ];
+
+    feed_roots(&mut roots, &mut children, t(0), None);
+    let first = unstamped(&roots[0]);
+    assert_eq!(first.len(), 9);
+    assert_eq!(first, unstamped(&roots[1]), "same children, same replica");
+
+    // Child 0 changes a value, gains an entry and loses one.
+    children[0].truth.insert(1, truth_entry(0, 1, 42));
+    children[0].truth.insert(7, truth_entry(0, 7, 7));
+    children[0].truth.remove(&2);
+    feed_roots(&mut roots, &mut children, t(10), None);
+    let changed = unstamped(&roots[0]);
+    assert_ne!(changed, first, "the change reached the roots");
+    assert_eq!(changed, unstamped(&roots[1]), "after a change");
+    assert!(roots[1].stats().delta_syncs >= 1, "it rode a delta");
+
+    // Child 2 stops refreshing its registration with the roots.
+    for s in [20, 30, 40] {
+        feed_roots(&mut roots, &mut children, t(s), Some(2));
+    }
+    let expired = unstamped(&roots[0]);
+    assert_eq!(expired.len(), 6, "child 2's slice is gone");
+    assert!(expired.keys().all(|dn| !dn.contains("o=vo2")));
+    assert_eq!(expired, unstamped(&roots[1]), "after an expiry");
 }
 
 /// The staleness bound: with pull interval T and fetch deadline D,
