@@ -12,7 +12,10 @@
 //!   each row into a *wire tax*: kernel loopback + framing cost as a
 //!   multiple of the in-process floor. On one machine the round trip is
 //!   microseconds, so this isolates the syscall/framing overhead that
-//!   coalescing amortizes.
+//!   coalescing amortizes. The floor and every row are measured
+//!   [`TRIALS`] times, interleaved (floor, then each row, per trial): a
+//!   row reports its median throughput and the median of its per-trial
+//!   taxes, so one noisy few-millisecond window moves neither.
 //! * **emulated WAN** — the same single connection routed through an
 //!   in-process netem-style relay that delays every chunk by a fixed
 //!   one-way latency. This is the regime the paper's VO hierarchies
@@ -28,7 +31,7 @@
 //! under `GIS_SAT_TAX_CEILING` (default 2.2), and the WAN speedup at
 //! depth 8 must stay above `GIS_SAT_MIN_SPEEDUP` (default 2.0).
 
-use gis_bench::{banner, drive, f2, section, Args, Json, Run, Table};
+use gis_bench::{banner, drive, f2, median, section, Args, Json, Run, Table};
 use gis_core::{LiveClient, LiveRuntime, ServeOptions, SimDeployment};
 use gis_ldap::{Dn, LdapUrl};
 use gis_netsim::SimDuration;
@@ -42,18 +45,22 @@ const DEPTHS: [usize; 2] = [1, 8];
 const WAN_DEPTHS: [usize; 4] = [1, 2, 8, 32];
 const QUERIES_PER_CONN: usize = 800;
 const SMOKE_QUERIES: usize = 80;
+/// Interleaved trials of the channel floor and each loopback row.
+const TRIALS: usize = 7;
 /// One-way latency of the emulated WAN link — a conservative
 /// metro-to-metro figure; real inter-site Grid links are slower.
 const WAN_ONE_WAY: Duration = Duration::from_micros(200);
 const DEFAULT_TAX_CEILING: f64 = 2.2;
 const DEFAULT_MIN_SPEEDUP: f64 = 2.0;
 
-/// One measured row: client connections, in-flight depth, and what
-/// the driver saw.
+/// One measured row: client connections, in-flight depth, what the
+/// driver saw (for a loopback row: the median throughput and the
+/// answered/issued sums over its trials), and the loopback wire tax.
 struct Row {
     conns: usize,
     depth: usize,
     run: Run,
+    tax: f64,
 }
 
 /// One static-host GRIS, on an ephemeral loopback port or in-process;
@@ -127,6 +134,26 @@ fn measure(clients: Vec<LiveClient>, target: &LdapUrl, depth: usize, queries: us
         conns: clients.len(),
         depth,
         run: drive(clients, target, &[spec], queries, depth),
+        tax: 0.0,
+    }
+}
+
+/// One loopback row from its trials, each paired with the floor
+/// measured in the same trial: median throughput and latencies, summed
+/// counts, and the median of the per-trial taxes.
+fn loopback_row(conns: usize, depth: usize, trials: &[(f64, Run)]) -> Row {
+    let median_of = |f: fn(&(f64, Run)) -> f64| median(&trials.iter().map(f).collect::<Vec<_>>());
+    Row {
+        conns,
+        depth,
+        run: Run {
+            qps: median_of(|(_, r)| r.qps),
+            p50_us: median_of(|(_, r)| r.p50_us),
+            p99_us: median_of(|(_, r)| r.p99_us),
+            ok: trials.iter().map(|(_, r)| r.ok).sum(),
+            total: trials.iter().map(|(_, r)| r.total).sum(),
+        },
+        tax: median_of(|(floor, r)| floor / r.qps),
     }
 }
 
@@ -168,35 +195,47 @@ fn main() {
         WAN_ONE_WAY.as_micros()
     );
 
-    // In-process floor: one client, sequential, zero serialization.
+    // The in-process floor (one client, sequential, zero serialization)
+    // and every loopback row, measured in interleaved trials.
     let (chan_rt, chan_url) = build(false);
-    let chan = measure(vec![chan_rt.client()], &chan_url, 1, queries);
-    chan_rt.shutdown();
-    let channel_qps = chan.run.qps;
-    println!(
-        "channel floor: {} q/s (sequential, in-process)\n",
-        f2(channel_qps)
-    );
-
     let (rt, url) = build(true);
-
-    let mut loopback_table = Table::new(&["conns", "depth", "throughput (q/s)", "wire tax", "ok"]);
-    let mut loopback_rows = Vec::new();
-    for conns in CONNS {
-        for depth in DEPTHS {
+    let shapes: Vec<(usize, usize)> = CONNS
+        .iter()
+        .flat_map(|&conns| DEPTHS.iter().map(move |&depth| (conns, depth)))
+        .collect();
+    let mut floors = Vec::with_capacity(TRIALS);
+    let mut trials: Vec<Vec<(f64, Run)>> = vec![Vec::with_capacity(TRIALS); shapes.len()];
+    for _ in 0..TRIALS {
+        let floor = measure(vec![chan_rt.client()], &chan_url, 1, queries)
+            .run
+            .qps;
+        floors.push(floor);
+        for (&(conns, depth), samples) in shapes.iter().zip(&mut trials) {
             let clients: Vec<LiveClient> = (0..conns)
                 .map(|_| LiveClient::builder(&url).connect().expect("connect"))
                 .collect();
-            let r = measure(clients, &url, depth, queries);
-            loopback_table.row(vec![
-                r.conns.to_string(),
-                r.depth.to_string(),
-                f2(r.run.qps),
-                f2(channel_qps / r.run.qps),
-                format!("{}/{}", r.run.ok, r.run.total),
-            ]);
-            loopback_rows.push(r);
+            samples.push((floor, measure(clients, &url, depth, queries).run));
         }
+    }
+    chan_rt.shutdown();
+    let channel_qps = median(&floors);
+    println!(
+        "channel floor: {} q/s (sequential, in-process; median of {TRIALS})\n",
+        f2(channel_qps)
+    );
+
+    let mut loopback_table = Table::new(&["conns", "depth", "throughput (q/s)", "wire tax", "ok"]);
+    let mut loopback_rows = Vec::new();
+    for (&(conns, depth), samples) in shapes.iter().zip(&trials) {
+        let r = loopback_row(conns, depth, samples);
+        loopback_table.row(vec![
+            r.conns.to_string(),
+            r.depth.to_string(),
+            f2(r.run.qps),
+            f2(r.tax),
+            format!("{}/{}", r.run.ok, r.run.total),
+        ]);
+        loopback_rows.push(r);
     }
 
     let upstream: SocketAddr = format!("127.0.0.1:{}", url.port).parse().expect("addr");
@@ -223,7 +262,9 @@ fn main() {
     }
     rt.shutdown();
 
-    section("results: loopback sweep (wall-clock, this machine)");
+    section(&format!(
+        "results: loopback sweep (wall-clock, this machine; medians of {TRIALS} trials)"
+    ));
     loopback_table.print();
     println!(
         "\nloopback round trips are microseconds, so depth amortizes the\n\
@@ -253,13 +294,14 @@ fn main() {
     let best_tax = loopback_rows
         .iter()
         .filter(|r| r.conns == 1 && r.run.qps > 0.0)
-        .map(|r| channel_qps / r.run.qps)
+        .map(|r| r.tax)
         .fold(f64::INFINITY, f64::min);
     if let Some(path) = &args.json {
         let loopback: Vec<Json> = loopback_rows.iter().map(row_json).collect();
         let wan: Vec<Json> = wan_rows.iter().map(row_json).collect();
         Json::new()
             .num("queries_per_conn", queries)
+            .num("trials", TRIALS)
             .num("channel_qps", f2(channel_qps))
             .num("wan_one_way_us", WAN_ONE_WAY.as_micros())
             .rows("loopback_runs", &loopback)

@@ -608,7 +608,7 @@ fn owner_loop<S: Service>(
                     link.perform(actions, None);
                 }
                 LiveMsg::Reannounce => engine.parts().1.reannounce(),
-                LiveMsg::Closed(cid) => engine.drop_client(cid),
+                LiveMsg::Closed(cid) => engine.front().drop_client(cid),
             }
             drained += 1;
             if drained < OWNER_BATCH {
@@ -806,7 +806,9 @@ impl LiveRuntime {
         let (auth_query, auth_interner) = (query, link.interner.clone());
         let on_auth: AuthCallback = Arc::new(move |conn, subject| {
             if let Some(cid) = auth_interner.intern(&Address::Tcp(conn)) {
-                auth_query.authenticate_session(cid, Requester::subject(subject));
+                auth_query
+                    .front()
+                    .authenticate_session(cid, Requester::subject(subject));
             }
         });
         let (close_interner, owner) = (link.interner.clone(), owner.clone());
@@ -894,14 +896,14 @@ impl LiveRuntime {
         let served_url = config.url.clone();
         let obs_on = config.observability;
         let url = served_url.to_string();
-        engine.set_trace_sink(Arc::clone(&self.sink));
+        engine.front().set_trace_sink(Arc::clone(&self.sink));
         if let Some(storage) = opts.persist.as_deref().and_then(open_persist_dir) {
             let report = engine.set_persistence(storage, live_journal_options(), self.now());
             for w in &report.warnings {
                 eprintln!("warning: {url}: persistence recovery: {w}");
             }
         }
-        let registry = engine.metrics();
+        let registry = Arc::clone(engine.front().metrics());
         let link = ServiceLink {
             router: Arc::clone(&self.router),
             interner: ClientInterner::new(

@@ -25,7 +25,8 @@ pub mod bloom;
 pub mod server;
 
 pub use bloom::{attr_token, BloomFilter};
+/// The effect list every engine entry point returns, under its GIIS name.
+pub use gis_proto::Action as GiisAction;
 pub use server::{
-    AcceptPolicy, BreakerConfig, ClientId, Giis, GiisAction, GiisConfig, GiisMode, GiisQueryPath,
-    GiisStats,
+    AcceptPolicy, BreakerConfig, ClientId, Giis, GiisConfig, GiisMode, GiisQueryPath, GiisStats,
 };

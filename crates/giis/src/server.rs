@@ -28,13 +28,18 @@
 //! | `BloomChain` | replica pulled by search, + summaries | chain routed by summaries |
 //! | `Federated`  | replica pulled by `SyncPull`          | local                     |
 //!
-//! The engine is sans-IO and asynchronous: methods return [`GiisAction`]s
+//! The engine is sans-IO and asynchronous: methods return [`Action`]s
 //! (messages to send, replies to deliver) that the runtime executes.
+//! Bind, sessions, subscriptions, self-description and GRRP emission are
+//! the [`Front`] it shares with the GRIS; this engine builds the index
+//! and answers searches.
 //! Chained queries are correlated through pending-query state and expire
 //! against a deadline, which is what yields *partial results* rather than
 //! hangs when children are partitioned away (Figures 1 and 4).
 
 use crate::bloom::{attr_token, BloomFilter};
+pub use gis_gris::front::ClientId;
+use gis_gris::front::{self, Backend, Front, FrontStats};
 use gis_gsi::{PolicyMap, Requester, ServiceConfig, Visibility};
 use gis_ldap::{
     Dn, Entry, Filter, LdapUrl, Rdn, Scope, SharedDit, SnapshotLineage, Wire, FRESH_AT_ATTR,
@@ -42,9 +47,9 @@ use gis_ldap::{
 };
 use gis_netsim::{SimDuration, SimTime};
 use gis_proto::{
-    metrics, Counter, GripReply, GripRequest, GrrpMessage, Histogram, MetricsRegistry,
+    metrics, Action, Counter, GripReply, GripRequest, GrrpMessage, Histogram, MetricsRegistry,
     Notification, PackedPair, RegistrationAgent, RequestId, ResultCode, SearchSpec,
-    SoftStateRegistry, SpanRecord, SubscriptionTable, SyncCookie, TraceContext, TraceSink,
+    SoftStateRegistry, SpanRecord, SyncCookie, TraceContext,
 };
 use gis_store::{
     GroupSnap, Journal, JournalOptions, RecoveryReport, RegSnap, SnapshotContent, Storage, WalOp,
@@ -53,9 +58,6 @@ use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Identifies a client connection (assigned by the runtime).
-pub type ClientId = u64;
 
 /// How the directory builds its index and answers searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,36 +219,6 @@ impl AcceptPolicy {
     }
 }
 
-/// An effect the runtime must carry out for the GIIS.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GiisAction {
-    /// Send a GRIP request to another server (chained query or pull).
-    SendRequest {
-        /// Target server.
-        to: LdapUrl,
-        /// The request (its id is GIIS-generated and unique).
-        request: GripRequest,
-        /// When present, the request belongs to a traced query: the
-        /// runtime wraps it in [`gis_proto::ProtocolMessage::Traced`] so
-        /// the child's spans join the same causal tree.
-        trace: Option<TraceContext>,
-    },
-    /// Send a GRRP message (parent registration or invitation).
-    SendGrrp {
-        /// Target server.
-        to: LdapUrl,
-        /// The notification.
-        message: GrrpMessage,
-    },
-    /// Deliver a reply to a connected client.
-    Reply {
-        /// The client.
-        client: ClientId,
-        /// The reply.
-        reply: GripReply,
-    },
-}
-
 /// Operational counters.
 ///
 /// # Snapshot semantics
@@ -340,7 +312,6 @@ struct GiisStatsAtomic {
     breaker_reopens: Counter,
     breaker_closes: Counter,
     chain_retries: Counter,
-    monitoring_queries: Counter,
     sync_pulls: Counter,
     full_syncs: Counter,
     delta_syncs: Counter,
@@ -348,7 +319,7 @@ struct GiisStatsAtomic {
 }
 
 impl GiisStatsAtomic {
-    fn snapshot(&self) -> GiisStats {
+    fn snapshot(&self, front: FrontStats) -> GiisStats {
         // Read-order discipline: every `result_cache_hits` bump is
         // preceded by its search's bump of the packed word, so reading
         // the hits *before* the packed word guarantees
@@ -374,7 +345,7 @@ impl GiisStatsAtomic {
             breaker_reopens: self.breaker_reopens.get(),
             breaker_closes: self.breaker_closes.get(),
             chain_retries: self.chain_retries.get(),
-            monitoring_queries: self.monitoring_queries.get(),
+            monitoring_queries: front.monitoring_queries,
             sync_pulls: self.sync_pulls.get(),
             full_syncs: self.full_syncs.get(),
             delta_syncs: self.delta_syncs.get(),
@@ -573,84 +544,22 @@ struct ChildState {
 }
 
 /// The query state the owner and every [`GiisQueryPath`] share: the
-/// replica, the chained-result cache, authenticated sessions, counters
-/// and instrumentation.
+/// replica, the chained-result cache, counters and the front.
 #[derive(Clone)]
 struct Shared {
     /// The replica, published as shared snapshots so query workers can
     /// answer from it while the owner ingests pulls.
     cache: Arc<SharedDit>,
     result_cache: Arc<RwLock<BTreeMap<String, CachedResult>>>,
-    sessions: Arc<RwLock<BTreeMap<ClientId, Requester>>>,
     stats: Arc<GiisStatsAtomic>,
-    /// Whether instrumentation is on.
-    enabled: bool,
-    /// The engine's metrics registry.
-    metrics: Arc<MetricsRegistry>,
-    /// The pre-resolved hot-path histogram.
-    search_us: Arc<Histogram>,
-    /// Where traced searches record spans.
-    sink: Option<Arc<TraceSink>>,
+    front: Front,
 }
 
 impl Shared {
-    fn new(enabled: bool) -> Shared {
-        let metrics = Arc::new(MetricsRegistry::new());
-        Shared {
-            cache: Arc::new(SharedDit::new()),
-            result_cache: Arc::default(),
-            sessions: Arc::default(),
-            stats: Arc::default(),
-            enabled,
-            search_us: metrics.histogram("search-us"),
-            metrics,
-            sink: None,
-        }
-    }
-
-    /// Time one answered search and, when it is traced, record its
-    /// `giis.search` span: `span` is the query's context and its own
-    /// span id.
-    fn searched(
-        &self,
-        service: &LdapUrl,
-        span: Option<(TraceContext, u64)>,
-        start: SimTime,
-        end: SimTime,
-        outcome: &str,
-    ) {
-        if self.enabled {
-            self.search_us.record(end.since(start).micros());
-        }
-        if let (Some(sink), Some((ctx, span))) = (self.sink.as_deref(), span) {
-            sink.record(SpanRecord {
-                trace: ctx.trace,
-                span,
-                parent: Some(ctx.parent),
-                service: service.to_string(),
-                name: "giis.search".into(),
-                start,
-                end,
-                outcome: outcome.to_string(),
-            });
-        }
-    }
-
-    fn requester_of(&self, client: ClientId) -> Requester {
-        self.sessions
-            .read()
-            .get(&client)
-            .cloned()
-            .unwrap_or_else(Requester::anonymous)
+    fn stats(&self) -> GiisStats {
+        self.stats.snapshot(self.front.stats())
     }
 }
-
-/// The monitoring-namespace snapshot: entries under
-/// `service=<url>, Mds-Vo-name=monitoring` plus the sim time they were
-/// built at. Rebuilt when older than the monitoring refresh interval
-/// (soft-state), by the owner — tick or monitoring search — whichever
-/// notices first.
-type MonitorCell = Arc<RwLock<Option<(SimTime, Arc<Vec<Entry>>)>>>;
 
 struct PendingQuery {
     client: ClientId,
@@ -816,7 +725,7 @@ impl ReadPathRef<'_> {
     ) -> Option<GripReply> {
         let started = Instant::now();
         let stats = &self.shared.stats;
-        let requester = self.shared.requester_of(client);
+        let requester = self.shared.front.requester_of(client);
         let (code, entries, referrals, how) = if let Search::Chain { .. } = self.config.search() {
             let ttl = self.config.result_cache_ttl?;
             let cache = self.shared.result_cache.read();
@@ -837,8 +746,9 @@ impl ReadPathRef<'_> {
         };
         stats.entries_returned.add(entries.len() as u64);
         let end = now + SimDuration::from_micros(started.elapsed().as_micros() as u64);
-        let span = trace.and_then(|ctx| Some((ctx, self.shared.sink.as_deref()?.next_span())));
-        self.shared.searched(&self.config.url, span, now, end, how);
+        let front = &self.shared.front;
+        let span = front.open_span(trace);
+        front.searched("giis.search", &self.config.url, span, now, end, how);
         Some(GripReply::SearchResult {
             id,
             code,
@@ -874,6 +784,18 @@ impl ReadPathRef<'_> {
     }
 }
 
+impl Backend for ReadPathRef<'_> {
+    fn subscribes(&self) -> bool {
+        // Chained watches would need fan-out subscriptions; those belong
+        // at the authoritative GRIS.
+        !matches!(self.config.search(), Search::Chain { .. })
+    }
+
+    fn evaluate(&self, spec: &SearchSpec, requester: &Requester, now: SimTime) -> Vec<Entry> {
+        self.entries(spec, requester, now).unwrap_or_default().0
+    }
+}
+
 /// A cloneable handle over a GIIS's concurrent query state: what a
 /// worker thread can answer without the engine's owner — replica
 /// searches, and chained searches on a result-cache hit (a miss needs
@@ -888,7 +810,7 @@ impl GiisQueryPath {
     /// Snapshot of the shared operational counters (for assertions and
     /// monitoring after the engine has moved into a runtime).
     pub fn stats(&self) -> GiisStats {
-        self.shared.stats.snapshot()
+        self.shared.stats()
     }
 
     /// Handle a request if it is query-path work; everything else —
@@ -904,7 +826,7 @@ impl GiisQueryPath {
         client: ClientId,
         req: GripRequest,
         now: SimTime,
-    ) -> Result<Vec<GiisAction>, GripRequest> {
+    ) -> Result<Vec<Action>, GripRequest> {
         self.handle_query_traced(client, req, None, now)
     }
 
@@ -918,7 +840,7 @@ impl GiisQueryPath {
         req: GripRequest,
         trace: Option<TraceContext>,
         now: SimTime,
-    ) -> Result<Vec<GiisAction>, GripRequest> {
+    ) -> Result<Vec<Action>, GripRequest> {
         let read = ReadPathRef {
             config: &self.config,
             shared: &self.shared,
@@ -933,19 +855,14 @@ impl GiisQueryPath {
             _ => None,
         };
         match answered {
-            Some(reply) => Ok(vec![GiisAction::Reply { client, reply }]),
+            Some(reply) => Ok(vec![Action::Reply { client, reply }]),
             None => Err(req),
         }
     }
 
-    /// Record that `client` authenticated as `requester`.
-    ///
-    /// The transport layer calls this when a connection completes the
-    /// §7 mutual-auth handshake, so every query on that connection is
-    /// redacted for the proven identity — the wire analog of a
-    /// successful in-band Bind.
-    pub fn authenticate_session(&self, client: ClientId, requester: Requester) {
-        self.shared.sessions.write().insert(client, requester);
+    /// The front this handle shares with its engine.
+    pub fn front(&self) -> &Front {
+        &self.shared.front
     }
 }
 
@@ -958,13 +875,11 @@ pub struct Giis {
     /// Registers this GIIS with parent directories (hierarchy, Figure 5).
     pub agent: RegistrationAgent,
     shared: Shared,
-    subs: SubscriptionTable<ClientId, Requester>,
     children: BTreeMap<String, ChildState>,
     pending: BTreeMap<u64, PendingQuery>,
     outbound: BTreeMap<u64, Leg>,
     next_outbound: u64,
     next_query: u64,
-    monitor: MonitorCell,
     /// Write-ahead journal: present once [`Giis::set_persistence`] ran.
     persist: Option<Journal>,
     /// Versioned change tracking over the published cache snapshots —
@@ -984,19 +899,22 @@ impl Giis {
             reg_interval,
             reg_ttl,
         );
-        let shared = Shared::new(config.observability);
+        let shared = Shared {
+            cache: Arc::new(SharedDit::new()),
+            result_cache: Arc::default(),
+            stats: Arc::default(),
+            front: Front::new(config.observability),
+        };
         Giis {
             config,
             registry: SoftStateRegistry::new(),
             agent,
             shared,
-            subs: SubscriptionTable::new(),
             children: BTreeMap::new(),
             pending: BTreeMap::new(),
             outbound: BTreeMap::new(),
             next_outbound: 1,
             next_query: 1,
-            monitor: Arc::new(RwLock::new(None)),
             persist: None,
             lineage: SnapshotLineage::default(),
         }
@@ -1040,13 +958,14 @@ impl Giis {
         for (key, g) in state.groups {
             let rtt = self
                 .shared
-                .metrics
+                .front
+                .metrics()
                 .labeled_histogram("chain-rtt-us", Some(&key));
             // Sync cookies and Bloom summaries are not persisted: the
             // first pull after recovery is a full one, which re-converges
             // whatever the WAL tail missed and rebuilds the summary.
             let child = ChildState {
-                harvested: g.dns.into_iter().collect(),
+                harvested: g.dns,
                 last_pull: g.at,
                 sync_asof: g.at,
                 last_sync: g.at,
@@ -1058,7 +977,7 @@ impl Giis {
         for t in state.targets {
             self.agent.add_target(t);
         }
-        let r = &self.shared.metrics;
+        let r = self.shared.front.metrics();
         r.gauge("persist-recovered-entries")
             .set(self.shared.cache.len() as u64);
         r.gauge("persist-recovered-regs")
@@ -1077,7 +996,7 @@ impl Giis {
     fn wal_log(&mut self, op: &WalOp) {
         if let Some(journal) = self.persist.as_mut() {
             if journal.log(op).is_err() {
-                self.shared.metrics.counter("persist-errors").bump();
+                self.shared.front.metrics().counter("persist-errors").bump();
             }
         }
     }
@@ -1108,21 +1027,15 @@ impl Giis {
             entries: &mut entries,
         };
         if journal.snapshot(content).is_err() {
-            self.shared.metrics.counter("persist-errors").bump();
+            self.shared.front.metrics().counter("persist-errors").bump();
         }
-    }
-
-    /// Install a shared trace sink: traced searches record spans here.
-    /// Call before creating query-path handles (they capture the sink).
-    pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
-        self.shared.sink = Some(sink);
     }
 
     /// This engine's metrics registry (exported under the monitoring
     /// namespace; the live runtime adds its worker-pool instruments
     /// here).
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.shared.metrics)
+        Arc::clone(self.shared.front.metrics())
     }
 
     /// The children (service URLs) currently fresh in the registry.
@@ -1161,7 +1074,7 @@ impl Giis {
 
     /// Snapshot of the operational counters.
     pub fn stats(&self) -> GiisStats {
-        self.shared.stats.snapshot()
+        self.shared.stats()
     }
 
     /// A cloneable concurrent-query handle sharing this directory's
@@ -1179,8 +1092,8 @@ impl Giis {
     /// Issue an invitation asking `service` to register here (§10.4's
     /// invitation flow; also how "an entire organization's resources can
     /// be added to a VO by registering the appropriate directory", §9).
-    pub fn invite(&self, service: LdapUrl, now: SimTime, ttl: SimDuration) -> GiisAction {
-        GiisAction::SendGrrp {
+    pub fn invite(&self, service: LdapUrl, now: SimTime, ttl: SimDuration) -> Action {
+        Action::SendGrrp {
             to: service.clone(),
             message: GrrpMessage::invite(service, self.config.url.clone(), now, ttl),
         }
@@ -1188,7 +1101,7 @@ impl Giis {
 
     /// Handle an incoming GRRP message (no reply channel: datagram-style
     /// delivery, as in the simulated fabric).
-    pub fn handle_grrp(&mut self, msg: GrrpMessage, now: SimTime) -> Vec<GiisAction> {
+    pub fn handle_grrp(&mut self, msg: GrrpMessage, now: SimTime) -> Vec<Action> {
         self.handle_grrp_from(None, msg, now)
     }
 
@@ -1207,7 +1120,7 @@ impl Giis {
         origin: Option<ClientId>,
         msg: GrrpMessage,
         now: SimTime,
-    ) -> Vec<GiisAction> {
+    ) -> Vec<Action> {
         self.shared.stats.grrp_received.bump();
         match msg.notification {
             Notification::Invite => {
@@ -1262,7 +1175,8 @@ impl Giis {
                 // the registry makes repeats cheap (one map lookup).
                 let rtt = self
                     .shared
-                    .metrics
+                    .front
+                    .metrics()
                     .labeled_histogram("chain-rtt-us", Some(&key));
                 let state = self.children.entry(key).or_insert_with(|| ChildState {
                     rtt,
@@ -1286,9 +1200,9 @@ impl Giis {
     /// delivery, an explicit `GrrpResult` reply when the sender is a
     /// live connection. GRRP carries no request id, so the reply uses
     /// id 0 — the reserved "unsolicited" slot.
-    fn grrp_rejection(origin: Option<ClientId>) -> Vec<GiisAction> {
+    fn grrp_rejection(origin: Option<ClientId>) -> Vec<Action> {
         match origin {
-            Some(client) => vec![GiisAction::Reply {
+            Some(client) => vec![Action::Reply {
                 client,
                 reply: GripReply::GrrpResult {
                     id: 0,
@@ -1335,7 +1249,7 @@ impl Giis {
         child: LdapUrl,
         sent: SimTime,
         may_bind: bool,
-    ) -> Vec<GiisAction> {
+    ) -> Vec<Action> {
         let key = child.to_string();
         let (Some(state), Some(subtrees)) = (self.children.get(&key), self.shard_scope(&child))
         else {
@@ -1367,7 +1281,7 @@ impl Giis {
         if let Some(state) = self.children.get_mut(&key) {
             state.pull = Some(InFlight { id, sent });
         }
-        vec![GiisAction::SendRequest {
+        vec![Action::SendRequest {
             to: child,
             request,
             trace: None,
@@ -1379,7 +1293,7 @@ impl Giis {
     /// with nothing in flight that the breaker admits — a cooled-down
     /// open circuit flips to half-open and the pull doubles as the
     /// probe.
-    fn schedule_pulls(&mut self, r: Replica, now: SimTime) -> Vec<GiisAction> {
+    fn schedule_pulls(&mut self, r: Replica, now: SimTime) -> Vec<Action> {
         let overdue: Vec<String> = self
             .children
             .iter()
@@ -1416,7 +1330,7 @@ impl Giis {
     /// A reply from `child` that is no chained leg: the answer to its
     /// pull in flight or to the bind ahead of it, else a late reply to
     /// an abandoned pull or an expired query, which is dropped.
-    fn pull_reply(&mut self, child: &LdapUrl, reply: GripReply, now: SimTime) -> Vec<GiisAction> {
+    fn pull_reply(&mut self, child: &LdapUrl, reply: GripReply, now: SimTime) -> Vec<Action> {
         let key = child.to_string();
         let id = reply.id();
         let state = self.children.get_mut(&key);
@@ -1444,9 +1358,9 @@ impl Giis {
                 deletes,
                 ..
             } => {
-                if self.shared.enabled {
+                if self.shared.front.enabled() {
                     let bytes: usize = entries.iter().map(|e| e.to_wire().len()).sum();
-                    let gauge = self.shared.metrics.gauge("sync-delta-bytes");
+                    let gauge = self.shared.front.metrics().gauge("sync-delta-bytes");
                     gauge.set(bytes as u64);
                 }
                 if let Some(state) = self.children.get_mut(&key) {
@@ -1578,10 +1492,7 @@ impl Giis {
         now: SimTime,
     ) -> GripReply {
         if self.config.replica().is_none() {
-            return GripReply::SubscriptionDone {
-                id,
-                code: ResultCode::UnwillingToPerform,
-            };
+            return front::unwilling(id);
         }
         // Catch the lineage up with whatever the cache published since
         // the last serve; a republished unchanged snapshot is an `Arc`
@@ -1598,7 +1509,7 @@ impl Giis {
             Some(d) => (d.upserts, d.deletes),
             None => (self.lineage.full(subtrees), Vec::new()),
         };
-        let requester = self.shared.requester_of(client);
+        let requester = self.shared.front.requester_of(client);
         let policy = &self.config.security.policy_map;
         GripReply::SyncDelta {
             id,
@@ -1624,7 +1535,7 @@ impl Giis {
         client: ClientId,
         req: GripRequest,
         now: SimTime,
-    ) -> Vec<GiisAction> {
+    ) -> Vec<Action> {
         self.handle_request_traced(client, req, None, now)
     }
 
@@ -1637,69 +1548,25 @@ impl Giis {
         req: GripRequest,
         trace: Option<TraceContext>,
         now: SimTime,
-    ) -> Vec<GiisAction> {
-        let reply = match req {
-            GripRequest::Search { id, spec } => {
+    ) -> Vec<Action> {
+        let read = self.read_path();
+        let reply = match self
+            .shared
+            .front
+            .request(client, req, &self.config, &read, now)
+        {
+            Ok(reply) => reply,
+            Err(GripRequest::Search { id, spec }) => {
                 return self.start_search(client, id, spec, trace, now)
             }
-            GripRequest::Bind { id, token, .. } => {
-                let subject = self
-                    .config
-                    .security
-                    .authenticator(self.config.url.to_string())
-                    .and_then(|a| a.authenticate(&token));
-                if let Some(s) = &subject {
-                    let requester = Requester::subject(s.clone());
-                    self.shared.sessions.write().insert(client, requester);
-                }
-                GripReply::BindResult {
-                    id,
-                    ok: subject.is_some(),
-                    subject,
-                }
-            }
-            GripRequest::SyncPull {
+            Err(GripRequest::SyncPull {
                 id,
                 cookie,
                 subtrees,
-            } => self.sync_reply(client, id, cookie, &subtrees, now),
-            // MDS-2.1 shipped "with the exception of push operations"
-            // (§10); §12 lists subscription push as future work. We
-            // implement it where the directory answers from its own
-            // state. Chained watches would need fan-out subscriptions;
-            // those belong at the authoritative GRIS, so they are
-            // declined.
-            GripRequest::Subscribe { id, .. }
-                if matches!(self.config.search(), Search::Chain { .. }) =>
-            {
-                GripReply::SubscriptionDone {
-                    id,
-                    code: ResultCode::UnwillingToPerform,
-                }
-            }
-            GripRequest::Subscribe { id, spec, mode } => {
-                let requester = self.shared.requester_of(client);
-                let (entries, _) = self
-                    .read_path()
-                    .entries(&spec, &requester, now)
-                    .unwrap_or_default();
-                self.subs.subscribe(client, id, spec, mode, requester, now);
-                let update = self.subs.deliver(client, id, entries);
-                update.expect("a new subscription delivers its snapshot")
-            }
-            GripRequest::Unsubscribe { id } => {
-                let existed = self.subs.unsubscribe(client, id);
-                GripReply::SubscriptionDone {
-                    id,
-                    code: if existed {
-                        ResultCode::Success
-                    } else {
-                        ResultCode::NoSuchObject
-                    },
-                }
-            }
+            }) => self.sync_reply(client, id, cookie, &subtrees, now),
+            Err(other) => front::unwilling(other.id()),
         };
-        vec![GiisAction::Reply { client, reply }]
+        vec![Action::Reply { client, reply }]
     }
 
     fn start_search(
@@ -1709,40 +1576,18 @@ impl Giis {
         spec: SearchSpec,
         trace: Option<TraceContext>,
         now: SimTime,
-    ) -> Vec<GiisAction> {
+    ) -> Vec<Action> {
         // The monitoring namespace is served ahead of the search
         // handler: self-description answers the same way whatever the
         // mode, except that the chaining modes also fan it out to the
         // children.
         let monitoring = metrics::is_monitoring_dn(&spec.base);
-        if monitoring && !self.shared.enabled {
-            let reply = GripReply::SearchResult {
-                id,
-                code: ResultCode::NoSuchObject,
-                entries: Vec::new(),
-                referrals: Vec::new(),
-            };
-            return vec![GiisAction::Reply { client, reply }];
-        }
         if !monitoring {
             if let Some(reply) = self.read_path().answer(client, id, &spec, trace, now) {
-                return vec![GiisAction::Reply { client, reply }];
+                return vec![Action::Reply { client, reply }];
             }
         }
         self.fan_out(client, id, spec, monitoring, trace, now)
-    }
-
-    /// Serve the monitoring snapshot, rebuilding it when it has aged past
-    /// the refresh interval (soft-state semantics).
-    fn monitoring_entries(&self, now: SimTime) -> Arc<Vec<Entry>> {
-        if let Some((at, entries)) = self.monitor.read().as_ref() {
-            if now.since(*at) < self.config.monitoring_refresh {
-                return Arc::clone(entries);
-            }
-        }
-        let built = Arc::new(self.build_monitoring(now));
-        *self.monitor.write() = Some((now, Arc::clone(&built)));
-        built
     }
 
     /// Build this directory's self-description: one `mds-service` entry,
@@ -1752,7 +1597,7 @@ impl Giis {
     fn build_monitoring(&self, now: SimTime) -> Vec<Entry> {
         let base =
             metrics::monitoring_base().child(Rdn::new("service", self.config.url.to_string()));
-        let s = self.shared.stats.snapshot();
+        let s = self.shared.stats();
         let mut entries = vec![Entry::new(base.clone())
             .with_class("mds-service")
             .with("service-type", "giis")
@@ -1774,22 +1619,22 @@ impl Giis {
             .with("delta-syncs", s.delta_syncs)
             .with("sync-failures", s.sync_failures)
             .with("children", self.registry.active(now).count() as u64)
-            .with("subscriptions", self.subs.len() as u64)];
+            .with(
+                "subscriptions",
+                self.shared.front.subscription_count() as u64,
+            )];
         // Fleet-worst federation gauges: the laggiest child defines the
         // directory's staleness. Both recover once a sick child is
         // re-admitted and resyncs.
-        if self.shared.enabled {
+        let front = &self.shared.front;
+        if front.enabled() {
             if let Some(oldest) = self.children.values().filter_map(|s| s.sync_asof).min() {
-                self.shared
-                    .metrics
-                    .gauge("sync-lag-us")
-                    .set(now.since(oldest).micros());
+                let gauge = front.metrics().gauge("sync-lag-us");
+                gauge.set(now.since(oldest).micros());
             }
             if let Some(oldest) = self.children.values().filter_map(|s| s.last_sync).min() {
-                self.shared
-                    .metrics
-                    .gauge("last-sync-age-us")
-                    .set(now.since(oldest).micros());
+                let gauge = front.metrics().gauge("last-sync-age-us");
+                gauge.set(now.since(oldest).micros());
             }
         }
         for (url, state) in &self.children {
@@ -1825,7 +1670,7 @@ impl Giis {
             }
             entries.push(ce);
         }
-        entries.extend(self.shared.metrics.export_entries(&base));
+        entries.extend(front.metrics().export_entries(&base));
         entries
     }
 
@@ -1875,12 +1720,22 @@ impl Giis {
         monitoring: bool,
         trace: Option<TraceContext>,
         now: SimTime,
-    ) -> Vec<GiisAction> {
+    ) -> Vec<Action> {
         self.shared.stats.work.bump_first();
         let mut merged = BTreeMap::new();
         if monitoring {
-            self.shared.stats.monitoring_queries.bump();
-            let own = self.monitoring_entries(now);
+            let refresh = self.config.monitoring_refresh;
+            let front = &self.shared.front;
+            let own = front.monitoring_search(now, refresh, || self.build_monitoring(now));
+            let Some(own) = own else {
+                let reply = GripReply::SearchResult {
+                    id,
+                    code: ResultCode::NoSuchObject,
+                    entries: Vec::new(),
+                    referrals: Vec::new(),
+                };
+                return vec![Action::Reply { client, reply }];
+            };
             merged.extend(own.iter().map(|e| (e.dn().to_string(), e.clone())));
         }
         let (timeout, candidates): (SimDuration, Vec<LdapUrl>) = match self.config.search() {
@@ -1925,16 +1780,13 @@ impl Giis {
             }
         }
 
-        let requester = self.shared.requester_of(client);
+        let requester = self.shared.front.requester_of(client);
         let query = self.next_query;
         self.next_query += 1;
         // Allocate this query's own span up front: chained children
         // parent onto it, and the context each child receives descends
         // from it.
-        let new_span = |shared: &Shared| {
-            let sink = shared.sink.as_deref().filter(|_| trace.is_some());
-            sink.map(TraceSink::next_span)
-        };
+        let new_span = |shared: &Shared| shared.front.open_span(trace).map(|(_, span)| span);
         let own_span = new_span(&self.shared);
         let mut actions = Vec::with_capacity(targets.len() + 1);
         let mut outstanding = Vec::with_capacity(targets.len());
@@ -1993,7 +1845,7 @@ impl Giis {
         span: Option<u64>,
         spec: &SearchSpec,
         trace: Option<TraceContext>,
-    ) -> (u64, GiisAction) {
+    ) -> (u64, Action) {
         let id = self.next_id();
         let leg = Leg {
             query,
@@ -2002,7 +1854,7 @@ impl Giis {
             span,
         };
         self.outbound.insert(id, leg);
-        let send = GiisAction::SendRequest {
+        let send = Action::SendRequest {
             to: child,
             request: GripRequest::Search {
                 id,
@@ -2017,12 +1869,7 @@ impl Giis {
     }
 
     /// Handle a GRIP reply arriving from a child server.
-    pub fn handle_reply(
-        &mut self,
-        from: &LdapUrl,
-        reply: GripReply,
-        now: SimTime,
-    ) -> Vec<GiisAction> {
+    pub fn handle_reply(&mut self, from: &LdapUrl, reply: GripReply, now: SimTime) -> Vec<Action> {
         let out_id = reply.id();
         let Some(Leg {
             query,
@@ -2090,7 +1937,7 @@ impl Giis {
         now: SimTime,
         outcome: &str,
     ) {
-        let (Some(sink), Some(span)) = (self.shared.sink.as_deref(), span) else {
+        let (Some(sink), Some(span)) = (self.shared.front.sink(), span) else {
             return;
         };
         let Some(p) = self.pending.get(&query) else {
@@ -2119,7 +1966,7 @@ impl Giis {
         let Some(state) = self.children.get_mut(&child.to_string()) else {
             return;
         };
-        if self.shared.enabled {
+        if self.shared.front.enabled() {
             state.rtt.record(now.since(sent).micros());
         }
         if self.config.breaker.is_some() {
@@ -2161,7 +2008,7 @@ impl Giis {
         }
     }
 
-    fn finalize(&mut self, query: u64, now: SimTime) -> Vec<GiisAction> {
+    fn finalize(&mut self, query: u64, now: SimTime) -> Vec<Action> {
         let Some(p) = self.pending.remove(&query) else {
             return Vec::new();
         };
@@ -2188,8 +2035,9 @@ impl Giis {
             .referrals_issued
             .add(p.referrals.len() as u64);
         let span = p.trace.zip(p.span);
-        self.shared
-            .searched(&self.config.url, span, p.started_at, now, code.label());
+        let (url, outcome) = (&self.config.url, code.label());
+        let front = &self.shared.front;
+        front.searched("giis.search", url, span, p.started_at, now, outcome);
         if p.cacheable && self.config.result_cache_ttl.is_some() && code == ResultCode::Success {
             // Partial answers are never cached: a healed partition should
             // become visible at the next query, not a TTL later.
@@ -2202,7 +2050,7 @@ impl Giis {
                 },
             );
         }
-        vec![GiisAction::Reply {
+        vec![Action::Reply {
             client: p.client,
             reply: GripReply::SearchResult {
                 id: p.client_req,
@@ -2213,31 +2061,16 @@ impl Giis {
         }]
     }
 
-    /// Evaluate due subscriptions; returns the updates to deliver.
-    fn subscription_updates(&mut self, now: SimTime) -> Vec<GiisAction> {
-        let mut out = Vec::new();
-        for (client, id, spec, requester) in self.subs.due(now) {
-            let (entries, _) = self
-                .read_path()
-                .entries(&spec, &requester, now)
-                .unwrap_or_default();
-            if let Some(reply) = self.subs.deliver(client, id, entries) {
-                out.push(GiisAction::Reply { client, reply });
-            }
-        }
-        out
-    }
-
     /// Advance timers: registry sweep, parent registrations, replica
     /// pulls, fan-out deadlines, and subscription deliveries. Call at
     /// least as often as the finest deadline granularity required.
-    pub fn tick(&mut self, now: SimTime) -> Vec<GiisAction> {
+    pub fn tick(&mut self, now: SimTime) -> Vec<Action> {
         let mut actions = Vec::new();
 
         // Keep the monitoring snapshot warm (soft-state refresh).
-        if self.shared.enabled {
-            self.monitoring_entries(now);
-        }
+        let refresh = self.config.monitoring_refresh;
+        let build = || self.build_monitoring(now);
+        self.shared.front.monitoring(now, refresh, build);
 
         // Soft-state sweep: purge expired children, their cache rows
         // (one published snapshot for the whole sweep) and their pulls
@@ -2276,12 +2109,7 @@ impl Giis {
         }
 
         // Own registrations to parent directories.
-        for (dir, msg) in self.agent.due_messages(now) {
-            actions.push(GiisAction::SendGrrp {
-                to: dir,
-                message: msg,
-            });
-        }
+        actions.extend(front::registrations(&mut self.agent, &self.config, now));
 
         if let Some(r) = self.config.replica() {
             actions.extend(self.schedule_pulls(r, now));
@@ -2289,7 +2117,7 @@ impl Giis {
 
         // Subscription deliveries (local modes only; the table is empty
         // otherwise).
-        actions.extend(self.subscription_updates(now));
+        actions.extend(self.shared.front.deliveries(&self.read_path(), now));
 
         // In-deadline retry: re-ask children still unanswered at the
         // deadline midpoint, so an isolated lost message does not turn
@@ -2361,15 +2189,9 @@ impl Giis {
             .collect()
     }
 
-    /// Forget a disconnected client's session state.
-    pub fn drop_client(&mut self, client: ClientId) {
-        self.shared.sessions.write().remove(&client);
-        self.subs.drop_subscriber(client);
-    }
-
-    /// Number of active subscriptions.
-    pub fn subscription_count(&self) -> usize {
-        self.subs.len()
+    /// The engine's front: sessions, subscriptions, instruments.
+    pub fn front(&self) -> &Front {
+        &self.shared.front
     }
 }
 
@@ -2378,7 +2200,7 @@ mod tests {
     use super::*;
     use gis_gsi::SecurityPolicy;
     use gis_netsim::{ms, secs};
-    use gis_proto::TraceId;
+    use gis_proto::{TraceId, TraceSink};
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + secs(s)
@@ -2400,7 +2222,7 @@ mod tests {
         )
     }
 
-    fn search_actions(giis: &mut Giis, base: &str, filter: &str, now: SimTime) -> Vec<GiisAction> {
+    fn search_actions(giis: &mut Giis, base: &str, filter: &str, now: SimTime) -> Vec<Action> {
         giis.handle_request(
             1,
             GripRequest::Search {
@@ -2456,16 +2278,16 @@ mod tests {
         giis.handle_grrp(reg("gris.b", "hn=b", t(0)), t(0));
 
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(1));
-        let sends: Vec<&GiisAction> = actions
+        let sends: Vec<&Action> = actions
             .iter()
-            .filter(|a| matches!(a, GiisAction::SendRequest { .. }))
+            .filter(|a| matches!(a, Action::SendRequest { .. }))
             .collect();
         assert_eq!(sends.len(), 2);
 
         // Children reply.
         let mut out_ids = Vec::new();
         for a in &actions {
-            if let GiisAction::SendRequest { request, .. } = a {
+            if let Action::SendRequest { request, .. } = a {
                 out_ids.push(request.id());
             }
         }
@@ -2494,7 +2316,7 @@ mod tests {
         );
         assert_eq!(replies.len(), 1);
         match &replies[0] {
-            GiisAction::Reply {
+            Action::Reply {
                 client,
                 reply: GripReply::SearchResult { code, entries, .. },
             } => {
@@ -2516,7 +2338,7 @@ mod tests {
         let targets: Vec<&LdapUrl> = actions
             .iter()
             .filter_map(|a| match a {
-                GiisAction::SendRequest { to, .. } => Some(to),
+                Action::SendRequest { to, .. } => Some(to),
                 _ => None,
             })
             .collect();
@@ -2532,7 +2354,7 @@ mod tests {
         let out_ids: Vec<u64> = actions
             .iter()
             .filter_map(|a| match a {
-                GiisAction::SendRequest { request, .. } => Some(request.id()),
+                Action::SendRequest { request, .. } => Some(request.id()),
                 _ => None,
             })
             .collect();
@@ -2551,7 +2373,7 @@ mod tests {
         let actions = giis.tick(t(4));
         assert_eq!(giis.stats().timeouts, 1);
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { code, entries, .. },
                 ..
             }] => {
@@ -2580,7 +2402,7 @@ mod tests {
         giis.handle_grrp(reg("gris.private", "hn=p", t(0)), t(0));
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(1));
         let out_id = match &actions[0] {
-            GiisAction::SendRequest { request, .. } => request.id(),
+            Action::SendRequest { request, .. } => request.id(),
             other => panic!("unexpected {other:?}"),
         };
         let replies = giis.handle_reply(
@@ -2594,7 +2416,7 @@ mod tests {
             t(1),
         );
         match &replies[0] {
-            GiisAction::Reply {
+            Action::Reply {
                 reply: GripReply::SearchResult { referrals, .. },
                 ..
             } => assert_eq!(referrals, &vec![url("gris.private")]),
@@ -2613,7 +2435,7 @@ mod tests {
 
         let actions = search_actions(&mut giis, "o=O1", "(objectclass=registration)", t(1));
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply:
                     GripReply::SearchResult {
                         code,
@@ -2643,7 +2465,7 @@ mod tests {
         // Registration triggers an immediate harvest query.
         let actions = giis.handle_grrp(reg("gris.a", "hn=a", t(0)), t(0));
         let out_id = match &actions[..] {
-            [GiisAction::SendRequest { to, request, .. }] => {
+            [Action::SendRequest { to, request, .. }] => {
                 assert_eq!(to, &url("gris.a"));
                 request.id()
             }
@@ -2676,7 +2498,7 @@ mod tests {
         // Searches are answered locally.
         let actions = search_actions(&mut giis, "", "(system=linux)", t(1));
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { entries, .. },
                 ..
             }] => assert_eq!(entries.len(), 1),
@@ -2717,7 +2539,7 @@ mod tests {
         for (host, ns, system) in [("gris.a", "hn=a", "linux"), ("gris.b", "hn=b", "irix")] {
             let actions = giis.handle_grrp(reg(host, ns, t(0)), t(0));
             let out_id = match &actions[..] {
-                [GiisAction::SendRequest { request, .. }] => request.id(),
+                [Action::SendRequest { request, .. }] => request.id(),
                 other => panic!("expected harvest, got {other:?}"),
             };
             giis.handle_reply(
@@ -2740,7 +2562,7 @@ mod tests {
         let targets: Vec<&LdapUrl> = actions
             .iter()
             .filter_map(|a| match a {
-                GiisAction::SendRequest { to, .. } => Some(to),
+                Action::SendRequest { to, .. } => Some(to),
                 _ => None,
             })
             .collect();
@@ -2751,7 +2573,7 @@ mod tests {
         let actions = search_actions(&mut giis, "", "(system=*)", t(1));
         let sends = actions
             .iter()
-            .filter(|a| matches!(a, GiisAction::SendRequest { .. }))
+            .filter(|a| matches!(a, Action::SendRequest { .. }))
             .count();
         assert_eq!(sends, 2);
     }
@@ -2766,7 +2588,7 @@ mod tests {
         // First query fans out.
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(1));
         let out_id = match &actions[0] {
-            GiisAction::SendRequest { request, .. } => request.id(),
+            Action::SendRequest { request, .. } => request.id(),
             other => panic!("unexpected {other:?}"),
         };
         giis.handle_reply(
@@ -2784,7 +2606,7 @@ mod tests {
         // Second identical query inside the TTL: answered locally.
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(5));
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { entries, .. },
                 ..
             }] => assert_eq!(entries.len(), 1),
@@ -2795,11 +2617,11 @@ mod tests {
 
         // A *different* query is not served from the cache.
         let actions = search_actions(&mut giis, "", "(objectclass=computer)", t(6));
-        assert!(matches!(actions[0], GiisAction::SendRequest { .. }));
+        assert!(matches!(actions[0], Action::SendRequest { .. }));
 
         // Past the TTL the original query chains again.
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(20));
-        assert!(matches!(actions[0], GiisAction::SendRequest { .. }));
+        assert!(matches!(actions[0], Action::SendRequest { .. }));
     }
 
     #[test]
@@ -2811,7 +2633,7 @@ mod tests {
 
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(1));
         let out_id = match &actions[0] {
-            GiisAction::SendRequest { request, .. } => request.id(),
+            Action::SendRequest { request, .. } => request.id(),
             other => panic!("unexpected {other:?}"),
         };
         // The child reports partial results: must NOT be cached (a healed
@@ -2829,7 +2651,7 @@ mod tests {
         );
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(2));
         assert!(
-            matches!(actions[0], GiisAction::SendRequest { .. }),
+            matches!(actions[0], Action::SendRequest { .. }),
             "partial results are never served from cache"
         );
         assert_eq!(giis.stats().result_cache_hits, 0);
@@ -2894,7 +2716,7 @@ mod tests {
         // Registration triggers a Bind, not a Search.
         let actions = giis.handle_grrp(reg("gris.a", "hn=a", t(0)), t(0));
         let bind_id = match &actions[..] {
-            [GiisAction::SendRequest {
+            [Action::SendRequest {
                 to,
                 request: GripRequest::Bind { id, subject, .. },
                 ..
@@ -2918,7 +2740,7 @@ mod tests {
             t(0),
         );
         let harvest_id = match &actions[..] {
-            [GiisAction::SendRequest {
+            [Action::SendRequest {
                 request: GripRequest::Search { id, .. },
                 ..
             }] => *id,
@@ -2945,7 +2767,7 @@ mod tests {
         assert!(
             actions.iter().any(|a| matches!(
                 a,
-                GiisAction::SendRequest {
+                Action::SendRequest {
                     request: GripRequest::Search { .. },
                     ..
                 }
@@ -2964,7 +2786,7 @@ mod tests {
         let mut giis = Giis::new(config, secs(30), secs(90));
         let actions = giis.handle_grrp(reg("giis.site", "o=site", t(0)), t(0));
         let bind_id = match &actions[..] {
-            [GiisAction::SendRequest {
+            [Action::SendRequest {
                 request: GripRequest::Bind { id, .. },
                 ..
             }] => *id,
@@ -2982,7 +2804,7 @@ mod tests {
         assert!(
             matches!(
                 &actions[..],
-                [GiisAction::SendRequest {
+                [Action::SendRequest {
                     request: GripRequest::SyncPull { cookie: None, .. },
                     ..
                 }]
@@ -3010,7 +2832,7 @@ mod tests {
             let mut giis = Giis::new(config, secs(30), secs(90));
             let actions = giis.handle_grrp(reg("gris.anon", "hn=a", t(0)), t(0));
             let bind_id = match &actions[..] {
-                [GiisAction::SendRequest {
+                [Action::SendRequest {
                     request: GripRequest::Bind { id, .. },
                     ..
                 }] => *id,
@@ -3026,13 +2848,13 @@ mod tests {
             let pulled = matches!(
                 (&actions[..], mode),
                 (
-                    [GiisAction::SendRequest {
+                    [Action::SendRequest {
                         request: GripRequest::Search { .. },
                         ..
                     }],
                     GiisMode::Harvest { .. },
                 ) | (
-                    [GiisAction::SendRequest {
+                    [Action::SendRequest {
                         request: GripRequest::SyncPull { .. },
                         ..
                     }],
@@ -3053,12 +2875,38 @@ mod tests {
         giis.agent.add_target(url("giis.root"));
         let actions = giis.tick(t(0));
         match &actions[..] {
-            [GiisAction::SendGrrp { to, message }] => {
+            [Action::SendGrrp { to, message }] => {
                 assert_eq!(to, &url("giis.root"));
                 assert_eq!(message.service_url, url("giis.vo"));
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn credentialed_child_joins_a_verifying_parent() {
+        use gis_gsi::{CertAuthority, TrustStore};
+        let ca = CertAuthority::new("/O=Grid/CN=CA", 47);
+        let mut trust = TrustStore::new();
+        trust.add_ca(&ca);
+        let secured = |name: &str| {
+            let mut config = GiisConfig::chaining(url(name), Dn::root());
+            let cred = ca.issue(format!("/O=Grid/CN={name}"));
+            config.security = SecurityPolicy::authenticated(cred, trust.clone());
+            Giis::new(config, secs(30), secs(90))
+        };
+        let mut child = secured("giis.site");
+        let mut parent = secured("giis.root");
+        assert!(parent.config.security.verifies_registrations());
+        child.agent.add_target(url("giis.root"));
+        for action in child.tick(t(0)) {
+            if let Action::SendGrrp { message, .. } = action {
+                assert!(message.signature.is_some(), "registration is signed");
+                parent.handle_grrp(message, t(0));
+            }
+        }
+        assert_eq!(parent.active_children(t(1)), vec![url("giis.site")]);
+        assert_eq!(parent.stats().grrp_rejected, 0);
     }
 
     #[test]
@@ -3071,7 +2919,7 @@ mod tests {
         );
         let invite = parent.invite(url("giis.vo"), t(0), secs(60));
         match invite {
-            GiisAction::SendGrrp { to, message } => {
+            Action::SendGrrp { to, message } => {
                 assert_eq!(to, url("giis.vo"));
                 giis.handle_grrp(message, t(0));
             }
@@ -3080,7 +2928,7 @@ mod tests {
         let actions = giis.tick(t(0));
         assert!(actions.iter().any(|a| matches!(
             a,
-            GiisAction::SendGrrp { to, .. } if to == &url("giis.parent")
+            Action::SendGrrp { to, .. } if to == &url("giis.parent")
         )));
     }
 
@@ -3089,7 +2937,7 @@ mod tests {
         let mut giis = chaining_giis();
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(0));
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { code, entries, .. },
                 ..
             }] => {
@@ -3109,7 +2957,7 @@ mod tests {
         // Register + harvest one child.
         let actions = giis.handle_grrp(reg("gris.a", "hn=a", t(0)), t(0));
         let out_id = match &actions[..] {
-            [GiisAction::SendRequest { request, .. }] => request.id(),
+            [Action::SendRequest { request, .. }] => request.id(),
             other => panic!("expected harvest, got {other:?}"),
         };
         giis.handle_reply(
@@ -3137,18 +2985,18 @@ mod tests {
             t(1),
         );
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::Update { entries, .. },
                 ..
             }] => assert_eq!(entries.len(), 1, "initial snapshot"),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(giis.subscription_count(), 1);
+        assert_eq!(giis.shared.front.subscription_count(), 1);
 
         // No change, no update.
         assert!(giis.tick(t(5)).iter().all(|a| !matches!(
             a,
-            GiisAction::Reply {
+            Action::Reply {
                 reply: GripReply::Update { .. },
                 ..
             }
@@ -3157,7 +3005,7 @@ mod tests {
         // A second child registers and is harvested: the set changes.
         let actions = giis.handle_grrp(reg("gris.b", "hn=b", t(6)), t(6));
         let out_id = match &actions[..] {
-            [GiisAction::SendRequest { request, .. }] => request.id(),
+            [Action::SendRequest { request, .. }] => request.id(),
             other => panic!("expected harvest, got {other:?}"),
         };
         giis.handle_reply(
@@ -3176,7 +3024,7 @@ mod tests {
             .filter(|a| {
                 matches!(
                     a,
-                    GiisAction::Reply {
+                    Action::Reply {
                         reply: GripReply::Update { .. },
                         ..
                     }
@@ -3185,7 +3033,7 @@ mod tests {
             .collect();
         assert_eq!(updates.len(), 1, "change delivered");
         match &updates[0] {
-            GiisAction::Reply {
+            Action::Reply {
                 client,
                 reply: GripReply::Update { entries, .. },
             } => {
@@ -3205,7 +3053,7 @@ mod tests {
             .filter(|a| {
                 matches!(
                     a,
-                    GiisAction::Reply {
+                    Action::Reply {
                         reply: GripReply::Update { .. },
                         ..
                     }
@@ -3218,7 +3066,7 @@ mod tests {
         let actions = giis.handle_request(9, GripRequest::Unsubscribe { id: 1 }, t(402));
         assert!(matches!(
             actions[..],
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SubscriptionDone {
                     code: ResultCode::Success,
                     ..
@@ -3226,7 +3074,7 @@ mod tests {
                 ..
             }]
         ));
-        assert_eq!(giis.subscription_count(), 0);
+        assert_eq!(giis.shared.front.subscription_count(), 0);
     }
 
     fn breaker_giis(threshold: u32, retry: bool) -> Giis {
@@ -3239,7 +3087,7 @@ mod tests {
         Giis::new(config, secs(30), secs(90))
     }
 
-    fn search_id(giis: &mut Giis, id: u64, now: SimTime) -> Vec<GiisAction> {
+    fn search_id(giis: &mut Giis, id: u64, now: SimTime) -> Vec<Action> {
         giis.handle_request(
             1,
             GripRequest::Search {
@@ -3250,17 +3098,17 @@ mod tests {
         )
     }
 
-    fn sends(actions: &[GiisAction]) -> Vec<(LdapUrl, u64)> {
+    fn sends(actions: &[Action]) -> Vec<(LdapUrl, u64)> {
         actions
             .iter()
             .filter_map(|a| match a {
-                GiisAction::SendRequest { to, request, .. } => Some((to.clone(), request.id())),
+                Action::SendRequest { to, request, .. } => Some((to.clone(), request.id())),
                 _ => None,
             })
             .collect()
     }
 
-    fn ok_reply(giis: &mut Giis, child: &str, id: u64, now: SimTime) -> Vec<GiisAction> {
+    fn ok_reply(giis: &mut Giis, child: &str, id: u64, now: SimTime) -> Vec<Action> {
         giis.handle_reply(
             &url(child),
             GripReply::SearchResult {
@@ -3302,7 +3150,7 @@ mod tests {
         assert_eq!(giis.stats().breaker_skips, 1);
         let replies = ok_reply(&mut giis, "gris.a", out[0].1, t(9));
         match &replies[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { code, entries, .. },
                 ..
             }] => {
@@ -3343,7 +3191,7 @@ mod tests {
         let (_, a_id) = out.iter().find(|(to, _)| *to == url("gris.a")).unwrap();
         let replies = ok_reply(&mut giis, "gris.a", *a_id, t(15));
         match &replies[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { code, entries, .. },
                 ..
             }] => {
@@ -3411,7 +3259,7 @@ mod tests {
         // ...while the retry's reply completes the answer in time.
         let replies = ok_reply(&mut giis, "gris.a", retried[0].1, t(2));
         match &replies[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { code, entries, .. },
                 ..
             }] => {
@@ -3436,7 +3284,7 @@ mod tests {
             t(0),
         );
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SubscriptionDone { code, .. },
                 ..
             }] => assert_eq!(*code, ResultCode::UnwillingToPerform),
@@ -3453,7 +3301,7 @@ mod tests {
 
         let actions = search_actions(&mut giis, "mds-vo-name=monitoring", "(objectclass=*)", t(1));
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { code, entries, .. },
                 ..
             }] => {
@@ -3486,7 +3334,7 @@ mod tests {
         let actions = search_actions(&mut giis, "mds-vo-name=monitoring", "(objectclass=*)", t(1));
         let mut out = Vec::new();
         for a in &actions {
-            if let GiisAction::SendRequest { to, request, .. } = a {
+            if let Action::SendRequest { to, request, .. } = a {
                 if let GripRequest::Search { spec, .. } = request {
                     assert!(
                         metrics::is_monitoring_dn(&spec.base),
@@ -3521,7 +3369,7 @@ mod tests {
             );
         }
         match &last[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { code, entries, .. },
                 ..
             }] => {
@@ -3552,7 +3400,7 @@ mod tests {
 
         let actions = search_actions(&mut giis, "mds-vo-name=monitoring", "(objectclass=*)", t(1));
         match &actions[..] {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply: GripReply::SearchResult { code, entries, .. },
                 ..
             }] => {
@@ -3568,7 +3416,7 @@ mod tests {
     fn traced_chain_records_complete_span_tree() {
         let mut giis = chaining_giis();
         let sink = Arc::new(TraceSink::new());
-        giis.set_trace_sink(Arc::clone(&sink));
+        giis.front().set_trace_sink(Arc::clone(&sink));
         giis.handle_grrp(reg("gris.a", "hn=a", t(0)), t(0));
         giis.handle_grrp(reg("gris.b", "hn=b", t(0)), t(0));
 
@@ -3593,7 +3441,7 @@ mod tests {
         // chain span (not on the client root).
         let mut out = Vec::new();
         for a in &actions {
-            if let GiisAction::SendRequest {
+            if let Action::SendRequest {
                 to,
                 request,
                 trace: leg,
@@ -3655,7 +3503,7 @@ mod tests {
         // Warm the result cache through the owner's fan-out.
         let actions = search_actions(&mut giis, "", "(objectclass=*)", t(1));
         let out_id = match &actions[0] {
-            GiisAction::SendRequest { request, .. } => request.id(),
+            Action::SendRequest { request, .. } => request.id(),
             other => panic!("unexpected {other:?}"),
         };
         giis.handle_reply(
@@ -3748,7 +3596,7 @@ mod tests {
         // Register → immediate harvest → cache populated.
         let actions = giis.handle_grrp(reg("gris.a", "hn=a", t(0)), t(0));
         let out_id = match &actions[..] {
-            [GiisAction::SendRequest { request, .. }] => request.id(),
+            [Action::SendRequest { request, .. }] => request.id(),
             other => panic!("expected harvest, got {other:?}"),
         };
         giis.handle_reply(
@@ -3812,7 +3660,7 @@ mod tests {
             subtrees: Vec::new(),
         };
         match giis.handle_request(client, request, now).as_slice() {
-            [GiisAction::Reply {
+            [Action::Reply {
                 reply:
                     GripReply::SyncDelta {
                         full,
@@ -3875,6 +3723,7 @@ mod tests {
         );
         // Client 2 proved its identity on the transport.
         giis.query_path()
+            .front()
             .authenticate_session(2, Requester::subject("/O=Grid/CN=root"));
 
         let (full, anon, _, anon_cookie) = sync_pull(&mut giis, 1, None, t(1));
@@ -3938,8 +3787,8 @@ mod tests {
         let mut config = GiisConfig::chaining(url("giis.h"), Dn::root());
         config.mode = GiisMode::Harvest { refresh: secs(10) };
         let mut giis = Giis::new(config, secs(30), secs(90));
-        let harvest_id = |actions: &[GiisAction]| match actions {
-            [GiisAction::SendRequest {
+        let harvest_id = |actions: &[Action]| match actions {
+            [Action::SendRequest {
                 request: GripRequest::Search { id, .. },
                 ..
             }] => *id,

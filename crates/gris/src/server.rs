@@ -7,9 +7,11 @@
 //! search processing, a specific provider's results are only considered
 //! if the provider's namespace intersects the query scope."
 //!
-//! The engine is sans-IO: `handle_request` consumes a request and yields
-//! replies; `tick` advances timers (registration refreshes, subscription
-//! deliveries). Runtimes in `gis-core` move the messages.
+//! The engine is sans-IO: `handle_request` consumes a request and `tick`
+//! advances timers (registration refreshes, subscription deliveries);
+//! both yield the effect list ([`Action`]) runtimes in `gis-core`
+//! carry out. Bind, sessions, subscriptions, self-description and GRRP
+//! emission are the shared [`Front`]'s; this engine answers searches.
 //!
 //! # Concurrent read path
 //!
@@ -23,22 +25,24 @@
 //!   result cache behind its own reader-writer lock (striped by
 //!   provider), so cache hits on different providers never contend and a
 //!   hit never waits on a fetch in flight;
-//! * bind sessions live behind a reader-writer lock.
+//! * bind sessions live in the front, behind a reader-writer lock.
 //!
 //! [`Gris::query_path`] packages this shared state into a cloneable
 //! [`GrisQueryPath`] handle the live runtime hands to its query worker
 //! threads, while mutation (registration refresh, subscriptions, GRRP)
 //! stays with the engine's owner.
 
+pub use crate::front::ClientId;
+use crate::front::{self, Backend, Front, FrontStats};
 use crate::provider::{namespace_intersects, InfoProvider, ProviderError};
-use gis_gsi::{PolicyMap, Requester, SecurityPolicy, ServiceConfig};
+use gis_gsi::{Requester, ServiceConfig};
 use gis_ldap::{Dn, Entry, LdapUrl, Rdn, Schema, Scope, Strictness};
 use gis_netsim::{SimDuration, SimTime};
 use gis_proto::metrics::{self, Gauge, Histogram, MetricsRegistry, PackedPair};
-use gis_proto::trace::{SpanRecord, TraceContext, TraceSink};
+use gis_proto::trace::{SpanRecord, TraceContext};
 use gis_proto::{
-    Counter, GripReply, GripRequest, GrrpMessage, RegistrationAgent, ResultCode, SearchSpec,
-    SubscriptionTable,
+    Action, Counter, GripReply, GripRequest, GrrpMessage, RegistrationAgent, RequestId, ResultCode,
+    SearchSpec,
 };
 use gis_store::{
     GroupSnap, Journal, JournalOptions, RecoveryReport, SnapshotContent, Storage, WalOp,
@@ -47,10 +51,6 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Identifies a client connection to this server (assigned by the
-/// runtime: a sim node id, a channel index, ...).
-pub type ClientId = u64;
 
 /// Operational counters (experiments report these). This is the plain
 /// snapshot type returned by [`Gris::stats`]; the live counters are
@@ -96,26 +96,23 @@ pub struct GrisStats {
 }
 
 /// The atomic counterpart of [`GrisStats`], shared between the owner and
-/// query workers.
+/// query workers (binds, updates and monitoring queries are the
+/// front's).
 #[derive(Debug, Default)]
 struct GrisStatsAtomic {
     queries: Counter,
-    monitoring_queries: Counter,
     provider_invocations: Counter,
     /// Cache hits (first) and misses (second) in one word: their sum is
     /// the slot-resolution total, an invariant readers check live.
     cache: PackedPair,
     entries_returned: Counter,
-    binds_ok: Counter,
-    binds_failed: Counter,
-    updates_sent: Counter,
     schema_violations: Counter,
     stale_served: Counter,
     provider_failures: Counter,
 }
 
 impl GrisStatsAtomic {
-    fn snapshot(&self) -> GrisStats {
+    fn snapshot(&self, front: FrontStats) -> GrisStats {
         // Read the per-miss *outcome* counters before the packed cache
         // word: every miss is counted in the packed word before its
         // outcome is recorded, so this order keeps
@@ -128,14 +125,14 @@ impl GrisStatsAtomic {
         let (cache_hits, cache_misses) = self.cache.get();
         GrisStats {
             queries: self.queries.get(),
-            monitoring_queries: self.monitoring_queries.get(),
+            monitoring_queries: front.monitoring_queries,
             provider_invocations,
             cache_hits,
             cache_misses,
             entries_returned: self.entries_returned.get(),
-            binds_ok: self.binds_ok.get(),
-            binds_failed: self.binds_failed.get(),
-            updates_sent: self.updates_sent.get(),
+            binds_ok: front.binds_ok,
+            binds_failed: front.binds_failed,
+            updates_sent: front.updates_sent,
             schema_violations: self.schema_violations.get(),
             stale_served,
             provider_failures,
@@ -164,48 +161,13 @@ struct Slot {
     fetch_us: Arc<Histogram>,
 }
 
-/// Observability state shared by the owner and every query handle:
-/// whether instrumentation is on, the engine's metrics registry, the
-/// pre-resolved hot-path instruments, and the optional trace sink.
-#[derive(Clone)]
-struct Obs {
-    enabled: bool,
-    registry: Arc<MetricsRegistry>,
-    search_us: Arc<Histogram>,
-    /// Active subscriptions, as of the last tick.
-    subscriptions: Arc<Gauge>,
-    sink: Option<Arc<TraceSink>>,
-}
-
-impl Obs {
-    fn new(enabled: bool) -> Obs {
-        let registry = Arc::new(MetricsRegistry::new());
-        let search_us = registry.histogram("search-us");
-        let subscriptions = registry.gauge("subscriptions");
-        Obs {
-            enabled,
-            registry,
-            search_us,
-            subscriptions,
-            sink: None,
-        }
-    }
-}
-
-/// The monitoring-namespace snapshot: entries under
-/// `service=<url>, Mds-Vo-name=monitoring` plus the sim time they were
-/// built at. Rebuilt when older than the monitoring refresh interval
-/// (soft-state), by whichever path — owner tick or query worker —
-/// notices first.
-type MonitorState = RwLock<Option<(SimTime, Arc<Vec<Entry>>)>>;
-type MonitorCell = Arc<MonitorState>;
-
 /// GRIS configuration.
 ///
-/// The shared service knobs (endpoint URL, [`SecurityPolicy`],
+/// The shared service knobs (endpoint URL, [`gis_gsi::SecurityPolicy`],
 /// observability) live in the embedded [`ServiceConfig`]; `GrisConfig`
 /// derefs to it, so `config.url` / `config.security` /
 /// `config.observability` read and write naturally.
+#[derive(Clone)]
 pub struct GrisConfig {
     /// The knobs every GIS service shares, including where security
     /// lives: the policy map, bind-token trust, and signing credential
@@ -252,42 +214,46 @@ impl GrisConfig {
             stale_ttl: None,
         }
     }
+}
 
-    /// Replace the security posture (builder style).
-    pub fn with_security(mut self, security: SecurityPolicy) -> GrisConfig {
-        self.service.security = security;
-        self
+/// The query state the owner and every [`GrisQueryPath`] share: the
+/// provider slots, the counters and the front.
+#[derive(Clone)]
+struct Shared {
+    slots: Arc<Vec<Slot>>,
+    stats: Arc<GrisStatsAtomic>,
+    front: Front,
+}
+
+impl Shared {
+    /// The read path over this state under `config`.
+    fn read<'a>(&'a self, config: &'a GrisConfig) -> ReadPathRef<'a> {
+        ReadPathRef {
+            config,
+            shared: self,
+        }
+    }
+
+    fn stats(&self) -> GrisStats {
+        self.stats.snapshot(self.front.stats())
     }
 }
 
 /// A Grid Resource Information Service instance.
 pub struct Gris {
     /// Configuration (public for inspection). Frozen once a
-    /// [`GrisQueryPath`] has been created: the handle captures the
-    /// query-relevant parts at creation time.
+    /// [`GrisQueryPath`] has been created: the handle captures a copy.
     pub config: GrisConfig,
-    slots: Arc<Vec<Slot>>,
     /// The GRRP refresh agent; add directory targets to join VOs.
     pub agent: RegistrationAgent,
-    sessions: Arc<RwLock<BTreeMap<ClientId, Requester>>>,
-    subs: SubscriptionTable<ClientId, Requester>,
-    stats: Arc<GrisStatsAtomic>,
-    obs: Obs,
-    monitor: MonitorCell,
+    shared: Shared,
+    /// Active subscriptions, as of the last tick.
+    subscriptions: Arc<Gauge>,
     /// Write-ahead journal: present once [`Gris::set_persistence`] ran.
     persist: Option<Journal>,
     /// Fingerprint (per-slot fetch stamps + target count) of the last
     /// snapshot written, to skip no-change snapshots on tick.
     persist_mark: Option<(Vec<Option<SimTime>>, usize)>,
-}
-
-/// What a `tick` produced: messages for the runtime to transmit.
-#[derive(Debug, Default)]
-pub struct TickOutput {
-    /// GRRP registrations to send, as `(directory, message)`.
-    pub registrations: Vec<(LdapUrl, GrrpMessage)>,
-    /// Subscription updates to deliver, as `(client, reply)`.
-    pub updates: Vec<(ClientId, GripReply)>,
 }
 
 /// What one provider slot contributed to a search.
@@ -302,23 +268,44 @@ enum SlotData {
     TooWide,
 }
 
-/// Borrowed view of everything the query path needs. [`Gris::search`]
-/// builds it from `&self`; [`GrisQueryPath::search`] from its captured
-/// clones — both run the same code.
+/// What the query path reads: the configuration and the shared query
+/// state. The owner and [`GrisQueryPath`] both answer through it.
 struct ReadPathRef<'a> {
-    url: &'a LdapUrl,
-    suffix: &'a Dn,
-    policy: &'a PolicyMap,
-    schema: Option<&'a (Schema, Strictness)>,
-    stale_ttl: Option<SimDuration>,
-    slots: &'a [Slot],
-    stats: &'a GrisStatsAtomic,
-    obs: &'a Obs,
-    monitor: &'a MonitorState,
-    monitoring_refresh: SimDuration,
+    config: &'a GrisConfig,
+    shared: &'a Shared,
+}
+
+impl Backend for ReadPathRef<'_> {
+    fn subscribes(&self) -> bool {
+        true
+    }
+
+    fn evaluate(&self, spec: &SearchSpec, requester: &Requester, now: SimTime) -> Vec<Entry> {
+        self.search(spec, requester, now, None).1
+    }
 }
 
 impl ReadPathRef<'_> {
+    /// The answer to `client`'s search, redacted for its session.
+    fn answer(
+        &self,
+        client: ClientId,
+        id: RequestId,
+        spec: &SearchSpec,
+        trace: Option<TraceContext>,
+        now: SimTime,
+    ) -> GripReply {
+        let requester = self.shared.front.requester_of(client);
+        let (code, entries) = self.search(spec, &requester, now, trace);
+        self.shared.stats.entries_returned.add(entries.len() as u64);
+        GripReply::SearchResult {
+            id,
+            code,
+            entries,
+            referrals: Vec::new(),
+        }
+    }
+
     /// Probe a slot's cache without touching the provider. `Some` is a
     /// countable cache hit.
     fn probe_cache(&self, slot: &Slot, now: SimTime) -> Option<Arc<Vec<Entry>>> {
@@ -340,7 +327,7 @@ impl ReadPathRef<'_> {
         started: Instant,
         outcome: &str,
     ) {
-        let (Some(sink), Some(ctx)) = (self.obs.sink.as_deref(), trace) else {
+        let (Some(sink), Some(ctx)) = (self.shared.front.sink(), trace) else {
             return;
         };
         let elapsed = SimDuration::from_micros(started.elapsed().as_micros() as u64);
@@ -348,7 +335,7 @@ impl ReadPathRef<'_> {
             trace: ctx.trace,
             span: sink.next_span(),
             parent: Some(ctx.parent),
-            service: self.url.to_string(),
+            service: self.config.url.to_string(),
             name: format!("provider:{}", slot.name),
             start: now,
             end: now + elapsed,
@@ -367,9 +354,10 @@ impl ReadPathRef<'_> {
         now: SimTime,
         trace: Option<TraceContext>,
     ) -> SlotData {
+        let stats = &self.shared.stats;
         let started = Instant::now();
         if let Some(entries) = self.probe_cache(slot, now) {
-            self.stats.cache.bump_first();
+            stats.cache.bump_first();
             self.note_provider_span(slot, trace, now, started, "cache-hit");
             return SlotData::Fresh(entries);
         }
@@ -379,20 +367,20 @@ impl ReadPathRef<'_> {
         // callers never hit this branch, keeping their counters exactly
         // as before.)
         if let Some(entries) = self.probe_cache(slot, now) {
-            self.stats.cache.bump_first();
+            stats.cache.bump_first();
             self.note_provider_span(slot, trace, now, started, "cache-hit");
             return SlotData::Fresh(entries);
         }
-        self.stats.cache.bump_second();
+        stats.cache.bump_second();
         let fetch_started = Instant::now();
         let fetched = provider.fetch(spec, now);
-        if self.obs.enabled {
+        if self.shared.front.enabled() {
             slot.fetch_us
                 .record(fetch_started.elapsed().as_micros() as u64);
         }
         match fetched {
             Ok(entries) => {
-                self.stats.provider_invocations.bump();
+                stats.provider_invocations.bump();
                 self.note_provider_span(slot, trace, now, started, "fresh");
                 let entries = Arc::new(entries);
                 if slot.cacheable {
@@ -405,7 +393,7 @@ impl ReadPathRef<'_> {
                 // last-known-good fetch when it is still inside the stale
                 // window, stamping each entry so consumers can see (and
                 // filter on) its age.
-                let stale = self.stale_ttl.and_then(|window| {
+                let stale = self.config.stale_ttl.and_then(|window| {
                     let guard = slot.cached.read();
                     guard
                         .as_ref()
@@ -414,7 +402,7 @@ impl ReadPathRef<'_> {
                 });
                 match stale {
                     Some((at, entries)) => {
-                        self.stats.stale_served.bump();
+                        stats.stale_served.bump();
                         self.note_provider_span(slot, trace, now, started, "stale");
                         let age_secs = now.since(at).micros() / 1_000_000;
                         SlotData::Stale(
@@ -430,7 +418,7 @@ impl ReadPathRef<'_> {
                         )
                     }
                     None => {
-                        self.stats.provider_failures.bump();
+                        stats.provider_failures.bump();
                         self.note_provider_span(slot, trace, now, started, "failed");
                         SlotData::Failed
                     }
@@ -455,34 +443,24 @@ impl ReadPathRef<'_> {
         trace: Option<TraceContext>,
     ) -> (ResultCode, Vec<Entry>) {
         let started = Instant::now();
+        let front = &self.shared.front;
         // Open this hop's span up front so provider resolutions can
         // parent onto it.
-        let own = match (self.obs.sink.as_deref(), trace) {
-            (Some(sink), Some(ctx)) => Some((sink, ctx, sink.next_span())),
-            _ => None,
-        };
-        let child_ctx = own.map(|(_, ctx, span)| TraceContext {
+        let span = front.open_span(trace);
+        let child_ctx = span.map(|(ctx, parent)| TraceContext {
             trace: ctx.trace,
-            parent: span,
+            parent,
         });
         let (code, results) = self.search_body(spec, requester, now, child_ctx);
-        if self.obs.enabled {
-            self.obs
-                .search_us
-                .record(started.elapsed().as_micros() as u64);
-        }
-        if let Some((sink, ctx, span)) = own {
-            sink.record(SpanRecord {
-                trace: ctx.trace,
-                span,
-                parent: Some(ctx.parent),
-                service: self.url.to_string(),
-                name: "gris.search".into(),
-                start: now,
-                end: now + SimDuration::from_micros(started.elapsed().as_micros() as u64),
-                outcome: code.label().into(),
-            });
-        }
+        let end = now + SimDuration::from_micros(started.elapsed().as_micros() as u64);
+        front.searched(
+            "gris.search",
+            &self.config.url,
+            span,
+            now,
+            end,
+            code.label(),
+        );
         (code, results)
     }
 
@@ -493,18 +471,22 @@ impl ReadPathRef<'_> {
         now: SimTime,
         trace: Option<TraceContext>,
     ) -> (ResultCode, Vec<Entry>) {
-        self.stats.queries.bump();
+        let stats = &self.shared.stats;
+        stats.queries.bump();
 
         // The monitoring namespace is served ahead of the suffix check:
         // self-description lives under `Mds-Vo-name=monitoring`
         // regardless of the suffix this server answers for.
         if metrics::is_monitoring_dn(&spec.base) {
-            if !self.obs.enabled {
+            let refresh = self.config.monitoring_refresh;
+            let own = self
+                .shared
+                .front
+                .monitoring_search(now, refresh, || self.build_monitoring());
+            let Some(own) = own else {
                 return (ResultCode::NoSuchObject, Vec::new());
-            }
-            self.stats.monitoring_queries.bump();
-            let entries = self.monitoring_entries(now);
-            let merged: BTreeMap<String, Entry> = entries
+            };
+            let merged: BTreeMap<String, Entry> = own
                 .iter()
                 .map(|e| (e.dn().to_string(), e.clone()))
                 .collect();
@@ -513,11 +495,13 @@ impl ReadPathRef<'_> {
 
         // A search rooted entirely outside this server's namespace names
         // nothing we serve.
-        if !namespace_intersects(self.suffix, &spec.base) && !self.suffix.is_root() {
+        let suffix = &self.config.suffix;
+        if !namespace_intersects(suffix, &spec.base) && !suffix.is_root() {
             return (ResultCode::NoSuchObject, Vec::new());
         }
 
         let eligible: Vec<&Slot> = self
+            .shared
             .slots
             .iter()
             .filter(|s| namespace_intersects(&s.namespace, &spec.base))
@@ -531,7 +515,7 @@ impl ReadPathRef<'_> {
         for (i, slot) in eligible.iter().enumerate() {
             match self.probe_cache(slot, now) {
                 Some(entries) => {
-                    self.stats.cache.bump_first();
+                    stats.cache.bump_first();
                     self.note_provider_span(slot, trace, now, Instant::now(), "cache-hit");
                     data.push(Some(SlotData::Fresh(entries)));
                 }
@@ -550,9 +534,9 @@ impl ReadPathRef<'_> {
         let mut too_wide = false;
         let mut merged: BTreeMap<String, Entry> = BTreeMap::new();
         let mut merge_entry = |e: &Entry| {
-            if let Some((schema, strictness)) = self.schema {
+            if let Some((schema, strictness)) = &self.config.schema {
                 if schema.validate(e, *strictness).is_err() {
-                    self.stats.schema_violations.bump();
+                    stats.schema_violations.bump();
                     return;
                 }
             }
@@ -577,36 +561,25 @@ impl ReadPathRef<'_> {
         self.finish(merged, spec, requester, partial, degraded, too_wide)
     }
 
-    /// Serve the monitoring snapshot, rebuilding it when it has aged past
-    /// the refresh interval (soft-state semantics).
-    fn monitoring_entries(&self, now: SimTime) -> Arc<Vec<Entry>> {
-        if let Some((at, entries)) = self.monitor.read().as_ref() {
-            if now.since(*at) < self.monitoring_refresh {
-                return Arc::clone(entries);
-            }
-        }
-        let built = Arc::new(self.build_monitoring());
-        *self.monitor.write() = Some((now, Arc::clone(&built)));
-        built
-    }
-
     /// Build this server's self-description: one `mds-service` entry,
     /// one `mds-provider` entry per slot, and one `mds-metric` entry per
     /// registry instrument, all under
     /// `service=<url>, Mds-Vo-name=monitoring`.
     fn build_monitoring(&self) -> Vec<Entry> {
-        let base = metrics::monitoring_base().child(Rdn::new("service", self.url.to_string()));
-        let s = self.stats.snapshot();
+        let base =
+            metrics::monitoring_base().child(Rdn::new("service", self.config.url.to_string()));
+        let s = self.shared.stats();
         let resolutions = s.cache_hits + s.cache_misses;
         let ratio = if resolutions == 0 {
             0.0
         } else {
             s.cache_hits as f64 / resolutions as f64
         };
+        let slots = &self.shared.slots;
         let mut entries = vec![Entry::new(base.clone())
             .with_class("mds-service")
             .with("service-type", "gris")
-            .with("suffix", self.suffix.to_string())
+            .with("suffix", self.config.suffix.to_string())
             .with("queries", s.queries)
             .with("monitoring-queries", s.monitoring_queries)
             .with("cache-hits", s.cache_hits)
@@ -617,8 +590,8 @@ impl ReadPathRef<'_> {
             .with("provider-failures", s.provider_failures)
             .with("entries-returned", s.entries_returned)
             .with("updates-sent", s.updates_sent)
-            .with("providers", self.slots.len() as u64)];
-        for slot in self.slots {
+            .with("providers", slots.len() as u64)];
+        for slot in slots.iter() {
             let f = slot.fetch_us.snapshot();
             entries.push(
                 Entry::new(base.child(Rdn::new("provider", slot.name.clone())))
@@ -632,7 +605,7 @@ impl ReadPathRef<'_> {
                     .with("fetch-max-us", f.max),
             );
         }
-        entries.extend(self.obs.registry.export_entries(&base));
+        entries.extend(self.shared.front.metrics().export_entries(&base));
         entries
     }
 
@@ -651,6 +624,7 @@ impl ReadPathRef<'_> {
         // are enforced here, not in providers — and ACL redaction happens
         // *before* filter evaluation so filters cannot probe hidden
         // attributes.
+        let policy = &self.config.security.policy_map;
         let mut results = Vec::new();
         let mut truncated = false;
         for entry in merged.into_values() {
@@ -663,7 +637,7 @@ impl ReadPathRef<'_> {
             if !in_scope {
                 continue;
             }
-            let Some(redacted) = self.policy.redact(&entry, requester) else {
+            let Some(redacted) = policy.redact(&entry, requester) else {
                 continue;
             };
             if !spec.filter.matches(&redacted) {
@@ -695,62 +669,24 @@ impl ReadPathRef<'_> {
 
 /// A cloneable handle over a GRIS's concurrent query state: everything a
 /// worker thread needs to answer `Search` requests without the engine's
-/// owner. Created by [`Gris::query_path`]; the configuration slice it
-/// captures (suffix, policy, schema, stale window) is frozen at creation.
+/// owner. Created by [`Gris::query_path`]; the configuration it captures
+/// is frozen at creation.
 #[derive(Clone)]
 pub struct GrisQueryPath {
-    url: LdapUrl,
-    suffix: Dn,
-    policy: PolicyMap,
-    schema: Option<(Schema, Strictness)>,
-    stale_ttl: Option<SimDuration>,
-    monitoring_refresh: SimDuration,
-    slots: Arc<Vec<Slot>>,
-    sessions: Arc<RwLock<BTreeMap<ClientId, Requester>>>,
-    stats: Arc<GrisStatsAtomic>,
-    obs: Obs,
-    monitor: MonitorCell,
+    config: Arc<GrisConfig>,
+    shared: Shared,
 }
 
 impl GrisQueryPath {
-    fn read_path(&self) -> ReadPathRef<'_> {
-        ReadPathRef {
-            url: &self.url,
-            suffix: &self.suffix,
-            policy: &self.policy,
-            schema: self.schema.as_ref(),
-            stale_ttl: self.stale_ttl,
-            slots: &self.slots,
-            stats: &self.stats,
-            obs: &self.obs,
-            monitor: &self.monitor,
-            monitoring_refresh: self.monitoring_refresh,
-        }
-    }
-
-    /// Run a search against the shared read path.
-    pub fn search(
-        &self,
-        spec: &SearchSpec,
-        requester: &Requester,
-        now: SimTime,
-    ) -> (ResultCode, Vec<Entry>) {
-        self.read_path().search(spec, requester, now, None)
-    }
-
-    /// Install an authenticated session identity for `client`. The
-    /// transport layer calls this when a connection completes the §7
-    /// mutual-auth handshake, so every query the connection later issues
-    /// is evaluated against the handshake-proven requester (the wire
-    /// analog of a successful in-band `Bind`).
-    pub fn authenticate_session(&self, client: ClientId, requester: Requester) {
-        self.sessions.write().insert(client, requester);
+    /// The front this handle shares with its engine.
+    pub fn front(&self) -> &Front {
+        &self.shared.front
     }
 
     /// Snapshot of the shared operational counters (for assertions and
     /// monitoring after the engine has moved into a runtime).
     pub fn stats(&self) -> GrisStats {
-        self.stats.snapshot()
+        self.shared.stats()
     }
 
     /// Handle a request if it is query-path work (`Search`); every other
@@ -765,7 +701,7 @@ impl GrisQueryPath {
         client: ClientId,
         req: GripRequest,
         now: SimTime,
-    ) -> Result<Vec<GripReply>, GripRequest> {
+    ) -> Result<Vec<Action>, GripRequest> {
         self.handle_query_traced(client, req, None, now)
     }
 
@@ -779,23 +715,12 @@ impl GrisQueryPath {
         req: GripRequest,
         trace: Option<TraceContext>,
         now: SimTime,
-    ) -> Result<Vec<GripReply>, GripRequest> {
+    ) -> Result<Vec<Action>, GripRequest> {
         match req {
             GripRequest::Search { id, spec } => {
-                let requester = self
-                    .sessions
-                    .read()
-                    .get(&client)
-                    .cloned()
-                    .unwrap_or_else(Requester::anonymous);
-                let (code, entries) = self.read_path().search(&spec, &requester, now, trace);
-                self.stats.entries_returned.add(entries.len() as u64);
-                Ok(vec![GripReply::SearchResult {
-                    id,
-                    code,
-                    entries,
-                    referrals: Vec::new(),
-                }])
+                let read = self.shared.read(&self.config);
+                let reply = read.answer(client, id, &spec, trace, now);
+                Ok(vec![Action::Reply { client, reply }])
             }
             other => Err(other),
         }
@@ -813,16 +738,17 @@ impl Gris {
             reg_interval,
             reg_ttl,
         );
-        let obs = Obs::new(config.observability);
+        let front = Front::new(config.observability);
+        let subscriptions = front.metrics().gauge("subscriptions");
         Gris {
             config,
-            slots: Arc::new(Vec::new()),
             agent,
-            sessions: Arc::new(RwLock::new(BTreeMap::new())),
-            subs: SubscriptionTable::new(),
-            stats: Arc::new(GrisStatsAtomic::default()),
-            obs,
-            monitor: Arc::new(RwLock::new(None)),
+            shared: Shared {
+                slots: Arc::new(Vec::new()),
+                stats: Arc::default(),
+                front,
+            },
+            subscriptions,
             persist: None,
             persist_mark: None,
         }
@@ -845,7 +771,7 @@ impl Gris {
     ) -> RecoveryReport {
         let (journal, state, report) = Journal::open(storage, opts, now);
         let mut restored = 0usize;
-        for slot in self.slots.iter() {
+        for slot in self.shared.slots.iter() {
             let Some(g) = state.groups.get(&slot.name) else {
                 continue;
             };
@@ -861,7 +787,7 @@ impl Gris {
         for t in state.targets {
             self.agent.add_target(t);
         }
-        let r = &self.obs.registry;
+        let r = self.shared.front.metrics();
         r.gauge("persist-recovered-entries").set(restored as u64);
         r.gauge("persist-wal-replayed")
             .set(report.wal_records as u64);
@@ -876,7 +802,7 @@ impl Gris {
     fn wal_log(&mut self, op: &WalOp) {
         if let Some(journal) = self.persist.as_mut() {
             if journal.log(op).is_err() {
-                self.obs.registry.counter("persist-errors").bump();
+                self.shared.front.metrics().counter("persist-errors").bump();
             }
         }
     }
@@ -885,6 +811,7 @@ impl Gris {
     /// how many directory targets are configured.
     fn persist_fingerprint(&self) -> (Vec<Option<SimTime>>, usize) {
         let stamps = self
+            .shared
             .slots
             .iter()
             .map(|s| s.cached.read().as_ref().map(|(at, _)| *at))
@@ -903,6 +830,7 @@ impl Gris {
             return;
         };
         let groups: Vec<GroupSnap> = self
+            .shared
             .slots
             .iter()
             .filter_map(|slot| {
@@ -924,24 +852,17 @@ impl Gris {
             entries: &mut entries,
         };
         if journal.snapshot(content).is_err() {
-            self.obs.registry.counter("persist-errors").bump();
+            self.shared.front.metrics().counter("persist-errors").bump();
             return;
         }
         self.persist_mark = Some(mark);
-    }
-
-    /// Install a shared trace sink: spans for traced requests are
-    /// recorded here. Configure before creating query handles (like
-    /// providers — handles capture the sink at creation).
-    pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
-        self.obs.sink = Some(sink);
     }
 
     /// This engine's metrics registry (exported under the monitoring
     /// namespace; the live runtime adds its worker-pool instruments
     /// here).
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.obs.registry)
+        Arc::clone(self.shared.front.metrics())
     }
 
     /// Plug in an information provider. Providers are configured before
@@ -949,8 +870,9 @@ impl Gris {
     /// handle already exists.
     pub fn add_provider(&mut self, provider: Box<dyn InfoProvider>) {
         let fetch_us = self
-            .obs
-            .registry
+            .shared
+            .front
+            .metrics()
             .labeled_histogram("provider-fetch-us", Some(provider.name()));
         let slot = Slot {
             name: provider.name().to_owned(),
@@ -961,37 +883,28 @@ impl Gris {
             cached: RwLock::new(None),
             fetch_us,
         };
-        Arc::get_mut(&mut self.slots)
+        Arc::get_mut(&mut self.shared.slots)
             .expect("providers are configured before query handles are created")
             .push(slot);
     }
 
     /// Number of configured providers.
     pub fn provider_count(&self) -> usize {
-        self.slots.len()
+        self.shared.slots.len()
     }
 
     /// Snapshot of the operational counters.
     pub fn stats(&self) -> GrisStats {
-        self.stats.snapshot()
+        self.shared.stats()
     }
 
     /// A cloneable concurrent-query handle sharing this engine's slots,
-    /// sessions and counters. The config slice it captures is frozen at
+    /// front and counters. The configuration it captures is frozen at
     /// this point.
     pub fn query_path(&self) -> GrisQueryPath {
         GrisQueryPath {
-            url: self.config.url.clone(),
-            suffix: self.config.suffix.clone(),
-            policy: self.config.security.policy_map.clone(),
-            schema: self.config.schema.clone(),
-            stale_ttl: self.config.stale_ttl,
-            monitoring_refresh: self.config.monitoring_refresh,
-            slots: Arc::clone(&self.slots),
-            sessions: Arc::clone(&self.sessions),
-            stats: Arc::clone(&self.stats),
-            obs: self.obs.clone(),
-            monitor: Arc::clone(&self.monitor),
+            config: Arc::new(self.config.clone()),
+            shared: self.shared.clone(),
         }
     }
 
@@ -999,7 +912,7 @@ impl Gris {
     /// type (experiments use this for failure injection and counter
     /// reads). `None` once query handles exist.
     pub fn provider_mut<T: InfoProvider>(&mut self, name: &str) -> Option<&mut T> {
-        let slots = Arc::get_mut(&mut self.slots)?;
+        let slots = Arc::get_mut(&mut self.shared.slots)?;
         slots.iter_mut().find(|s| s.name == name).and_then(|s| {
             let any: &mut dyn std::any::Any = s.provider.get_mut().as_mut();
             any.downcast_mut::<T>()
@@ -1013,24 +926,13 @@ impl Gris {
         self.provider_mut::<T>(name).map(|p| &*p)
     }
 
-    /// The requester identity associated with a client (anonymous until a
-    /// successful bind).
-    pub fn requester_of(&self, client: ClientId) -> Requester {
-        self.sessions
-            .read()
-            .get(&client)
-            .cloned()
-            .unwrap_or_else(Requester::anonymous)
-    }
-
-    /// Handle one GRIP request from `client`, returning the replies to
-    /// send back to that client.
+    /// Handle one GRIP request from `client`.
     pub fn handle_request(
         &mut self,
         client: ClientId,
         req: GripRequest,
         now: SimTime,
-    ) -> Vec<GripReply> {
+    ) -> Vec<Action> {
         self.handle_request_traced(client, req, None, now)
     }
 
@@ -1043,132 +945,50 @@ impl Gris {
         req: GripRequest,
         trace: Option<TraceContext>,
         now: SimTime,
-    ) -> Vec<GripReply> {
-        match req {
-            GripRequest::Bind {
-                id,
-                subject: _,
-                token,
-            } => {
-                let outcome = self
-                    .config
-                    .security
-                    .authenticator(self.config.url.to_string())
-                    .and_then(|auth| auth.authenticate(&token));
-                match outcome {
-                    Some(subject) => {
-                        self.stats.binds_ok.bump();
-                        self.sessions
-                            .write()
-                            .insert(client, Requester::subject(subject.clone()));
-                        vec![GripReply::BindResult {
-                            id,
-                            ok: true,
-                            subject: Some(subject),
-                        }]
-                    }
-                    None => {
-                        self.stats.binds_failed.bump();
-                        vec![GripReply::BindResult {
-                            id,
-                            ok: false,
-                            subject: None,
-                        }]
-                    }
-                }
-            }
-            GripRequest::Search { id, spec } => {
-                let requester = self.requester_of(client);
-                let (code, entries) = self.search_traced(&spec, &requester, now, trace);
-                self.stats.entries_returned.add(entries.len() as u64);
-                vec![GripReply::SearchResult {
-                    id,
-                    code,
-                    entries,
-                    referrals: Vec::new(),
-                }]
-            }
-            GripRequest::Subscribe { id, spec, mode } => {
-                let requester = self.requester_of(client);
-                // Initial snapshot is delivered immediately.
-                let (_, entries) = self.search(&spec, &requester, now);
-                self.subs.subscribe(client, id, spec, mode, requester, now);
-                self.stats.updates_sent.bump();
-                let update = self.subs.deliver(client, id, entries);
-                vec![update.expect("a new subscription delivers its snapshot")]
-            }
-            GripRequest::Unsubscribe { id } => {
-                let existed = self.subs.unsubscribe(client, id);
-                vec![GripReply::SubscriptionDone {
-                    id,
-                    code: if existed {
-                        ResultCode::Success
-                    } else {
-                        ResultCode::NoSuchObject
-                    },
-                }]
-            }
+    ) -> Vec<Action> {
+        let read = self.shared.read(&self.config);
+        let reply = match self
+            .shared
+            .front
+            .request(client, req, &self.config, &read, now)
+        {
+            Ok(reply) => reply,
+            Err(GripRequest::Search { id, spec }) => read.answer(client, id, &spec, trace, now),
             // Bulk delta sync is a directory-to-directory protocol; a
             // provider's whole tree is already one harvest query wide,
             // so a GIIS pulls it via plain Search instead.
-            GripRequest::SyncPull { id, .. } => vec![GripReply::SubscriptionDone {
-                id,
-                code: ResultCode::UnwillingToPerform,
-            }],
-        }
+            Err(other) => front::unwilling(other.id()),
+        };
+        vec![Action::Reply { client, reply }]
     }
 
-    /// Handle an incoming GRRP message (a GRIS receives invitations).
-    /// Returns true if the invitation added a new registration target.
-    pub fn handle_grrp(&mut self, msg: &GrrpMessage) -> bool {
-        let added = self.agent.accept_invite(msg);
-        if added {
+    /// Handle an incoming GRRP message (a GRIS receives invitations):
+    /// an invitation adds its directory as a registration target.
+    pub fn handle_grrp(&mut self, msg: &GrrpMessage) -> Vec<Action> {
+        if self.agent.accept_invite(msg) {
             if let Some(directory) = msg.reply_to.clone() {
                 self.wal_log(&WalOp::Target { directory });
             }
         }
-        added
+        Vec::new()
     }
 
-    /// Forget all session/subscription state for a disconnected client.
-    pub fn drop_client(&mut self, client: ClientId) {
-        self.sessions.write().remove(&client);
-        self.subs.drop_subscriber(client);
+    /// The engine's front: sessions, subscriptions, instruments.
+    pub fn front(&self) -> &Front {
+        &self.shared.front
     }
 
-    /// Advance timers: emit due GRRP registrations and subscription
-    /// deliveries, and keep the monitoring-namespace snapshot warm.
-    pub fn tick(&mut self, now: SimTime) -> TickOutput {
-        if self.obs.enabled {
-            let due = match self.monitor.read().as_ref() {
-                Some((at, _)) => now.since(*at) >= self.config.monitoring_refresh,
-                None => true,
-            };
-            if due {
-                let built = Arc::new(self.read_path().build_monitoring());
-                *self.monitor.write() = Some((now, built));
-            }
-        }
-        let mut registrations = self.agent.due_messages(now);
-        if let Some(cred) = &self.config.security.credential {
-            for (_, msg) in &mut registrations {
-                msg.subject = Some(cred.subject().to_owned());
-                let blob = gis_gsi::sign_registration(cred, &msg.signable_bytes());
-                msg.signature = Some(blob);
-            }
-        }
-        let mut out = TickOutput {
-            registrations,
-            updates: Vec::new(),
-        };
-        self.obs.subscriptions.set(self.subs.len() as u64);
-        for (client, id, spec, requester) in self.subs.due(now) {
-            let (_, entries) = self.search(&spec, &requester, now);
-            if let Some(update) = self.subs.deliver(client, id, entries) {
-                self.stats.updates_sent.bump();
-                out.updates.push((client, update));
-            }
-        }
+    /// Advance timers: keep the monitoring-namespace snapshot warm, emit
+    /// due GRRP registrations, then due subscription deliveries.
+    pub fn tick(&mut self, now: SimTime) -> Vec<Action> {
+        let read = self.shared.read(&self.config);
+        let front = &self.shared.front;
+        front.monitoring(now, self.config.monitoring_refresh, || {
+            read.build_monitoring()
+        });
+        let mut actions = front::registrations(&mut self.agent, &self.config, now);
+        self.subscriptions.set(front.subscription_count() as u64);
+        actions.extend(front.deliveries(&read, now));
         // Checkpoint the slot caches when they changed since the last
         // snapshot (fetch stamps or targets moved) — GRIS state is
         // snapshot-shaped, so the WAL stays nearly empty and each
@@ -1176,22 +996,7 @@ impl Gris {
         if self.persist.is_some() {
             self.snapshot_persist();
         }
-        out
-    }
-
-    fn read_path(&self) -> ReadPathRef<'_> {
-        ReadPathRef {
-            url: &self.config.url,
-            suffix: &self.config.suffix,
-            policy: &self.config.security.policy_map,
-            schema: self.config.schema.as_ref(),
-            stale_ttl: self.config.stale_ttl,
-            slots: &self.slots,
-            stats: &self.stats,
-            obs: &self.obs,
-            monitor: &self.monitor,
-            monitoring_refresh: self.config.monitoring_refresh,
-        }
+        actions
     }
 
     /// The core search path: prune providers by namespace, consult caches,
@@ -1203,25 +1008,9 @@ impl Gris {
         requester: &Requester,
         now: SimTime,
     ) -> (ResultCode, Vec<Entry>) {
-        self.read_path().search(spec, requester, now, None)
-    }
-
-    /// [`search`](Self::search) under a trace context: records a
-    /// `gris.search` span (with per-provider children) parented on
-    /// `trace.parent` when a sink is installed.
-    pub fn search_traced(
-        &self,
-        spec: &SearchSpec,
-        requester: &Requester,
-        now: SimTime,
-        trace: Option<TraceContext>,
-    ) -> (ResultCode, Vec<Entry>) {
-        self.read_path().search(spec, requester, now, trace)
-    }
-
-    /// Number of active subscriptions.
-    pub fn subscription_count(&self) -> usize {
-        self.subs.len()
+        self.shared
+            .read(&self.config)
+            .search(spec, requester, now, None)
     }
 }
 
@@ -1231,7 +1020,7 @@ mod tests {
     use crate::providers::{
         DynamicHostProvider, FilesystemProvider, HostSpec, QueueProvider, StaticHostProvider,
     };
-    use gis_gsi::{Acl, CertAuthority, Grant, Principal, TrustStore};
+    use gis_gsi::{Acl, CertAuthority, Grant, PolicyMap, Principal, SecurityPolicy, TrustStore};
     use gis_ldap::Filter;
     use gis_netsim::secs;
     use gis_proto::SubscriptionMode;
@@ -1272,11 +1061,47 @@ mod tests {
     }
 
     fn search(gris: &mut Gris, spec: SearchSpec, now: SimTime) -> (ResultCode, Vec<Entry>) {
-        let replies = gris.handle_request(1, GripRequest::Search { id: 1, spec }, now);
+        let replies = replies_of(gris.handle_request(1, GripRequest::Search { id: 1, spec }, now));
         match replies.into_iter().next().unwrap() {
             GripReply::SearchResult { code, entries, .. } => (code, entries),
             other => panic!("unexpected reply {other:?}"),
         }
+    }
+
+    /// The replies among `actions`.
+    fn replies_of(actions: Vec<Action>) -> Vec<GripReply> {
+        actions
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Reply { reply, .. } => Some(reply),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The clients `actions` deliver subscription updates to.
+    fn updated(actions: &[Action]) -> Vec<ClientId> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Reply {
+                    client,
+                    reply: GripReply::Update { .. },
+                } => Some(*client),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The GRRP messages among `actions`, with their directories.
+    fn registrations(actions: &[Action]) -> Vec<(&LdapUrl, &GrrpMessage)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::SendGrrp { to, message } => Some((to, message)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -1536,7 +1361,7 @@ mod tests {
         // Bind as alice, then the search succeeds.
         let alice = ca.issue("/O=Grid/CN=alice");
         let token = gis_gsi::BindToken::create(&alice, &url.to_string()).to_bytes();
-        let replies = gris.handle_request(
+        let replies = replies_of(gris.handle_request(
             1,
             GripRequest::Bind {
                 id: 9,
@@ -1544,7 +1369,7 @@ mod tests {
                 token,
             },
             t(1),
-        );
+        ));
         assert!(matches!(replies[0], GripReply::BindResult { ok: true, .. }));
         let (_, entries) = search(
             &mut gris,
@@ -1555,14 +1380,14 @@ mod tests {
         assert_eq!(gris.stats().binds_ok, 1);
 
         // A different client is still anonymous.
-        let replies = gris.handle_request(
+        let replies = replies_of(gris.handle_request(
             2,
             GripRequest::Search {
                 id: 1,
                 spec: SearchSpec::subtree(host.dn(), Filter::always()),
             },
             t(3),
-        );
+        ));
         match &replies[0] {
             GripReply::SearchResult { entries, .. } => assert!(entries.is_empty()),
             other => panic!("unexpected {other:?}"),
@@ -1572,7 +1397,7 @@ mod tests {
     #[test]
     fn bind_without_authenticator_fails_closed() {
         let mut gris = host_gris();
-        let replies = gris.handle_request(
+        let replies = replies_of(gris.handle_request(
             1,
             GripRequest::Bind {
                 id: 1,
@@ -1580,7 +1405,7 @@ mod tests {
                 token: vec![],
             },
             t(0),
-        );
+        ));
         assert!(matches!(
             replies[0],
             GripReply::BindResult { ok: false, .. }
@@ -1592,7 +1417,7 @@ mod tests {
     fn periodic_subscription_delivers_on_schedule() {
         let mut gris = host_gris();
         let spec = SearchSpec::lookup(Dn::parse("perf=load, hn=hostX").unwrap());
-        let replies = gris.handle_request(
+        let replies = replies_of(gris.handle_request(
             5,
             GripRequest::Subscribe {
                 id: 77,
@@ -1600,22 +1425,20 @@ mod tests {
                 mode: SubscriptionMode::Periodic(secs(10)),
             },
             t(0),
-        );
+        ));
         assert!(
             matches!(replies[0], GripReply::Update { .. }),
             "initial snapshot"
         );
-        assert_eq!(gris.subscription_count(), 1);
+        assert_eq!(gris.shared.front.subscription_count(), 1);
 
-        assert!(gris.tick(t(5)).updates.is_empty(), "not due yet");
-        let out = gris.tick(t(10));
-        assert_eq!(out.updates.len(), 1);
-        assert_eq!(out.updates[0].0, 5);
+        assert!(updated(&gris.tick(t(5))).is_empty(), "not due yet");
+        assert_eq!(updated(&gris.tick(t(10))), vec![5]);
 
         // Unsubscribe stops delivery.
         gris.handle_request(5, GripRequest::Unsubscribe { id: 77 }, t(11));
-        assert!(gris.tick(t(20)).updates.is_empty());
-        assert_eq!(gris.subscription_count(), 0);
+        assert!(updated(&gris.tick(t(20))).is_empty());
+        assert_eq!(gris.shared.front.subscription_count(), 0);
     }
 
     #[test]
@@ -1633,8 +1456,8 @@ mod tests {
             },
             t(0),
         );
-        assert!(gris.tick(t(100)).updates.is_empty());
-        assert!(gris.tick(t(5000)).updates.is_empty());
+        assert!(updated(&gris.tick(t(100))).is_empty());
+        assert!(updated(&gris.tick(t(5000))).is_empty());
 
         // Dynamic data does change (cache TTL 30s, load period 10s).
         let spec = SearchSpec::lookup(Dn::parse("perf=load, hn=hostX").unwrap());
@@ -1648,7 +1471,7 @@ mod tests {
             t(5000),
         );
         let out = gris.tick(t(5040));
-        assert_eq!(out.updates.len(), 1, "load changed after TTL expiry");
+        assert_eq!(updated(&out).len(), 1, "load changed after TTL expiry");
     }
 
     #[test]
@@ -1656,13 +1479,14 @@ mod tests {
         let mut gris = host_gris();
         gris.agent.add_target(LdapUrl::server("giis.vo-a"));
         let out = gris.tick(t(0));
-        assert_eq!(out.registrations.len(), 1);
-        let (dir, msg) = &out.registrations[0];
+        let regs = registrations(&out);
+        assert_eq!(regs.len(), 1);
+        let (dir, msg) = regs[0];
         assert_eq!(dir, &LdapUrl::server("giis.vo-a"));
         assert_eq!(msg.service_url, LdapUrl::server("gris.hostX"));
         // Not due again immediately.
-        assert!(gris.tick(t(1)).registrations.is_empty());
-        assert_eq!(gris.tick(t(30)).registrations.len(), 1);
+        assert!(registrations(&gris.tick(t(1))).is_empty());
+        assert_eq!(registrations(&gris.tick(t(30))).len(), 1);
     }
 
     #[test]
@@ -1674,10 +1498,11 @@ mod tests {
             t(0),
             secs(60),
         );
-        assert!(gris.handle_grrp(&invite));
+        assert!(gris.handle_grrp(&invite).is_empty());
         let out = gris.tick(t(0));
-        assert_eq!(out.registrations.len(), 1);
-        assert_eq!(out.registrations[0].0, LdapUrl::server("giis.vo-b"));
+        let regs = registrations(&out);
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].0, &LdapUrl::server("giis.vo-b"));
     }
 
     #[test]
@@ -1812,36 +1637,17 @@ mod tests {
     }
 
     #[test]
-    fn observability_off_hides_monitoring_namespace() {
-        let host = HostSpec::linux("h", 2);
-        let mut config = GrisConfig::open(LdapUrl::server("gris.h"), host.dn());
-        config.observability = false;
-        let mut gris = Gris::new(config, secs(30), secs(90));
-        gris.add_provider(Box::new(StaticHostProvider::new(host)));
-        let (code, entries) = search(
-            &mut gris,
-            SearchSpec::subtree(
-                Dn::parse("Mds-Vo-name=monitoring").unwrap(),
-                Filter::always(),
-            ),
-            t(0),
-        );
-        assert_eq!(code, ResultCode::NoSuchObject);
-        assert!(entries.is_empty());
-    }
-
-    #[test]
     fn traced_search_records_span_tree() {
         use gis_proto::trace::{TraceContext, TraceId, TraceSink};
         let mut gris = host_gris();
         let sink = Arc::new(TraceSink::new());
-        gris.set_trace_sink(Arc::clone(&sink));
+        gris.front().set_trace_sink(Arc::clone(&sink));
         let trace = TraceId(sink.next_span());
         let ctx = TraceContext {
             trace,
             parent: trace.0,
         };
-        let replies = gris.handle_request_traced(
+        let replies = replies_of(gris.handle_request_traced(
             1,
             GripRequest::Search {
                 id: 1,
@@ -1849,7 +1655,7 @@ mod tests {
             },
             Some(ctx),
             t(0),
-        );
+        ));
         assert!(matches!(
             replies[0],
             GripReply::SearchResult {
@@ -1959,35 +1765,18 @@ mod tests {
     }
 
     #[test]
-    fn drop_client_clears_state() {
-        let mut gris = host_gris();
-        gris.handle_request(
-            3,
-            GripRequest::Subscribe {
-                id: 1,
-                spec: SearchSpec::lookup(Dn::parse("hn=hostX").unwrap()),
-                mode: SubscriptionMode::Periodic(secs(5)),
-            },
-            t(0),
-        );
-        assert_eq!(gris.subscription_count(), 1);
-        gris.drop_client(3);
-        assert_eq!(gris.subscription_count(), 0);
-        assert!(gris.tick(t(10)).updates.is_empty());
-    }
-
-    #[test]
     fn persistence_warms_slot_caches_across_restart() {
         let storage: Arc<dyn gis_store::Storage> = Arc::new(gis_store::MemStorage::new());
         let mut gris = host_gris();
         gris.set_persistence(storage.clone(), JournalOptions::default(), t(0));
         // Invitation target must also survive the restart.
-        assert!(gris.handle_grrp(&GrrpMessage::invite(
+        gris.handle_grrp(&GrrpMessage::invite(
             LdapUrl::server("gris.hostX"),
             LdapUrl::server("giis.vo"),
             t(0),
             secs(90),
-        )));
+        ));
+        assert_eq!(gris.agent.targets(), &[LdapUrl::server("giis.vo")]);
         // Populate every slot cache, then tick to checkpoint it.
         let (_, entries) = search(
             &mut gris,

@@ -14,7 +14,6 @@
 
 use gis_ldap::{Dn, Entry, Filter, LdapUrl, Scope};
 use gis_netsim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Correlates a reply with its request within one client connection.
 pub type RequestId = u64;
@@ -332,124 +331,6 @@ impl GripReply {
     }
 }
 
-/// Server-side subscription bookkeeping and delivery, shared by GRIS and
-/// GIIS.
-///
-/// Generic over the subscriber address type `A` (a sim `NodeId`, a thread
-/// channel id, ...) and the subscriber identity `R` each delivery is
-/// evaluated for.
-#[derive(Debug, Clone)]
-pub struct SubscriptionTable<A, R = ()> {
-    subs: BTreeMap<(A, RequestId), Subscription<R>>,
-}
-
-/// One active subscription.
-#[derive(Debug, Clone)]
-pub struct Subscription<R = ()> {
-    /// What the subscriber watches.
-    pub spec: SearchSpec,
-    /// Delivery mode.
-    pub mode: SubscriptionMode,
-    /// Fingerprint of the last delivered result set (for `OnChange`).
-    pub last_digest: Option<u64>,
-    /// Who subscribed: every delivery is evaluated with their rights.
-    pub requester: R,
-    /// When a periodic subscription is next due.
-    pub next_due: SimTime,
-}
-
-impl<A: Ord + Copy, R: Clone> SubscriptionTable<A, R> {
-    /// Empty table.
-    pub fn new() -> SubscriptionTable<A, R> {
-        SubscriptionTable {
-            subs: BTreeMap::new(),
-        }
-    }
-
-    /// Register a subscription made at `now`. Its initial snapshot goes
-    /// through [`deliver`](Self::deliver) like every later one.
-    pub fn subscribe(
-        &mut self,
-        who: A,
-        id: RequestId,
-        spec: SearchSpec,
-        mode: SubscriptionMode,
-        requester: R,
-        now: SimTime,
-    ) {
-        let next_due = match mode {
-            SubscriptionMode::Periodic(period) => now + period,
-            SubscriptionMode::OnChange => now,
-        };
-        let sub = Subscription {
-            spec,
-            mode,
-            last_digest: None,
-            requester,
-            next_due,
-        };
-        self.subs.insert((who, id), sub);
-    }
-
-    /// Remove a subscription; returns true if it existed.
-    pub fn unsubscribe(&mut self, who: A, id: RequestId) -> bool {
-        self.subs.remove(&(who, id)).is_some()
-    }
-
-    /// Remove every subscription held by `who` (connection closed).
-    pub fn drop_subscriber(&mut self, who: A) -> usize {
-        let before = self.subs.len();
-        self.subs.retain(|(a, _), _| *a != who);
-        before - self.subs.len()
-    }
-
-    /// The subscriptions to evaluate at `now`: every on-change one, and
-    /// each periodic one whose time has come (its next time advances by
-    /// one period).
-    pub fn due(&mut self, now: SimTime) -> Vec<(A, RequestId, SearchSpec, R)> {
-        let mut out = Vec::new();
-        for (&(who, id), sub) in &mut self.subs {
-            if let SubscriptionMode::Periodic(period) = sub.mode {
-                if now < sub.next_due {
-                    continue;
-                }
-                sub.next_due += period;
-            }
-            out.push((who, id, sub.spec.clone(), sub.requester.clone()));
-        }
-        out
-    }
-
-    /// Record the answer just evaluated for subscription `(who, id)`:
-    /// the update to deliver, or `None` when an on-change answer has not
-    /// moved since the last delivery (or the subscription is gone).
-    pub fn deliver(&mut self, who: A, id: RequestId, entries: Vec<Entry>) -> Option<GripReply> {
-        let sub = self.subs.get_mut(&(who, id))?;
-        let digest = result_digest(&entries);
-        if sub.mode == SubscriptionMode::OnChange && sub.last_digest == Some(digest) {
-            return None;
-        }
-        sub.last_digest = Some(digest);
-        Some(GripReply::Update { id, entries })
-    }
-
-    /// Number of active subscriptions.
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// True when no subscriptions are active.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
-    }
-}
-
-impl<A: Ord + Copy, R: Clone> Default for SubscriptionTable<A, R> {
-    fn default() -> Self {
-        SubscriptionTable::new()
-    }
-}
-
 /// Order-independent digest of a result set, used to suppress unchanged
 /// `OnChange` deliveries. FNV-1a over each entry's canonical LDIF line
 /// set, combined commutatively.
@@ -471,7 +352,6 @@ pub fn result_digest(entries: &[Entry]) -> u64 {
 mod tests {
     use super::*;
     use gis_ldap::Entry;
-    use gis_netsim::secs;
 
     #[test]
     fn spec_builders() {
@@ -500,53 +380,6 @@ mod tests {
             referrals: vec![],
         };
         assert_eq!(rep.id(), 7);
-    }
-
-    #[test]
-    fn subscription_table_lifecycle() {
-        let mut table: SubscriptionTable<u32> = SubscriptionTable::new();
-        let spec = SearchSpec::subtree(Dn::root(), Filter::always());
-        let t0 = SimTime::ZERO;
-        table.subscribe(1, 100, spec.clone(), SubscriptionMode::OnChange, (), t0);
-        let periodic = SubscriptionMode::Periodic(secs(5));
-        table.subscribe(1, 101, spec.clone(), periodic, (), t0);
-        table.subscribe(2, 100, spec, SubscriptionMode::OnChange, (), t0);
-        assert_eq!(table.len(), 3);
-        assert!(table.unsubscribe(1, 100));
-        assert!(!table.unsubscribe(1, 100));
-        assert_eq!(table.drop_subscriber(1), 1);
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn subscriptions_deliver_when_due_or_changed() {
-        let mut table: SubscriptionTable<u32> = SubscriptionTable::new();
-        let spec = SearchSpec::subtree(Dn::root(), Filter::always());
-        let t = |s| SimTime::ZERO + secs(s);
-        table.subscribe(1, 7, spec.clone(), SubscriptionMode::OnChange, (), t(0));
-        table.subscribe(2, 8, spec, SubscriptionMode::Periodic(secs(5)), (), t(0));
-        let a = vec![Entry::at("hn=a").unwrap()];
-        // The initial snapshot is always delivered.
-        assert!(table.deliver(1, 7, a.clone()).is_some());
-        assert!(table.deliver(2, 8, a.clone()).is_some());
-        // At t=4 only the on-change watch is evaluated; it has not moved.
-        let due: Vec<_> = table.due(t(4)).into_iter().map(|d| (d.0, d.1)).collect();
-        assert_eq!(due, vec![(1, 7)]);
-        assert!(table.deliver(1, 7, a.clone()).is_none());
-        // At t=5 the periodic one is due and delivers even unchanged;
-        // its next time is one period later.
-        assert_eq!(table.due(t(5)).len(), 2);
-        assert!(table.deliver(2, 8, a).is_some());
-        assert_eq!(table.due(t(9)).len(), 1);
-        let b = vec![Entry::at("hn=b").unwrap()];
-        assert!(
-            table.deliver(1, 7, b).is_some(),
-            "a moved answer is delivered"
-        );
-        assert!(
-            table.deliver(3, 9, Vec::new()).is_none(),
-            "unknown subscription"
-        );
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub use frame::{
     FRAME_HEADER, MAX_FRAME, MUX_TAG,
 };
 pub use grip::{
-    result_digest, GripReply, GripRequest, RequestId, ResultCode, SearchSpec, Subscription,
-    SubscriptionMode, SubscriptionTable, SyncCookie,
+    result_digest, GripReply, GripRequest, RequestId, ResultCode, SearchSpec, SubscriptionMode,
+    SyncCookie,
 };
 pub use grrp::{
     FailureDetector, GrrpMessage, Notification, Registration, RegistrationAgent, SoftStateRegistry,
@@ -43,4 +43,4 @@ pub use grrp::{
 pub use metrics::{Gauge, Histogram, MetricsRegistry, PackedPair};
 pub use stats::Counter;
 pub use trace::{SpanRecord, TraceContext, TraceId, TraceSink};
-pub use wire::{Handshake, ProtocolMessage};
+pub use wire::{Action, Handshake, ProtocolMessage};

@@ -43,6 +43,37 @@ pub enum ProtocolMessage {
     Handshake(Handshake),
 }
 
+/// An effect a service engine asks its runtime to carry out: the one
+/// effect list every GRIS and GIIS entry point returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Action {
+    /// Send a GRIP request to another server (chained query or pull).
+    SendRequest {
+        /// Target server.
+        to: LdapUrl,
+        /// The request (its id is engine-generated and unique).
+        request: GripRequest,
+        /// When present, the request belongs to a traced query: the
+        /// runtime wraps it in [`ProtocolMessage::Traced`] so the
+        /// target's spans join the same causal tree.
+        trace: Option<TraceContext>,
+    },
+    /// Send a GRRP message (a registration or an invitation).
+    SendGrrp {
+        /// Target server.
+        to: LdapUrl,
+        /// The notification.
+        message: GrrpMessage,
+    },
+    /// Deliver a reply to a connected client.
+    Reply {
+        /// The client (an id the runtime assigned its connection).
+        client: u64,
+        /// The reply.
+        reply: GripReply,
+    },
+}
+
 /// The mutual-auth handshake frames (§7: "GSI public-key security
 /// mechanisms are used to verify credentials and to achieve mutual
 /// authentication between information consumers and information

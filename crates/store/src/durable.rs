@@ -90,7 +90,7 @@ impl DurableDit {
             .map(|(name, g)| crate::snapshot::GroupSnap {
                 name: name.clone(),
                 at: g.at,
-                dns: g.dns.clone(),
+                dns: g.dns.iter().cloned().collect(),
                 entries: g.entries.clone(),
             })
             .collect();

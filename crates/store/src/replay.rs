@@ -1,10 +1,16 @@
-//! Deterministic state reconstruction: one `apply` function shared by
-//! the live engines (mirroring a logged op into their state) and by
-//! recovery (replaying the WAL tail over a loaded snapshot). Using the
-//! *same* code for both is what makes "recovered state == pre-crash
-//! state" a theorem instead of a hope.
+//! Deterministic state reconstruction: one `apply` function for
+//! recovery (replaying the WAL tail over a loaded snapshot) and for
+//! [`DurableDit`](crate::DurableDit), which journals and applies each
+//! op through it.
+//!
+//! The live engines do not call it: the GRIS and the GIIS apply their
+//! mutations through their own code and only journal the op. That their
+//! path and this one agree is checked, not given: the GIIS
+//! `persistence_*` unit tests (a recovered directory serves the replica,
+//! registrations and expiry clocks the live one held) and
+//! `tests/federation.rs::parent_recovery_full_syncs_from_every_kill_point`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use gis_ldap::{Dit, Dn, Entry, LdapUrl};
 use gis_netsim::SimTime;
@@ -20,7 +26,7 @@ pub struct GroupState {
     /// Last refresh (harvest / provider fetch) clock, if any.
     pub at: Option<SimTime>,
     /// DNs this source owns in the shared tree.
-    pub dns: Vec<Dn>,
+    pub dns: BTreeSet<Dn>,
     /// Rows cached outside the shared tree (GRIS slot caches).
     pub entries: Vec<Entry>,
 }
@@ -64,7 +70,7 @@ impl RecoveredState {
                     g.name,
                     GroupState {
                         at: g.at,
-                        dns: g.dns,
+                        dns: g.dns.into_iter().collect(),
                         entries: g.entries,
                     },
                 )
@@ -86,7 +92,7 @@ impl RecoveredState {
             .map(|(name, g)| GroupSnap {
                 name: name.clone(),
                 at: g.at,
-                dns: g.dns.clone(),
+                dns: g.dns.iter().cloned().collect(),
                 entries: g.entries.clone(),
             })
             .collect()
@@ -104,10 +110,12 @@ impl RecoveredState {
     }
 }
 
-/// Apply one logged op to the state pieces. Exactly mirrors what the
-/// live engines do at their journaling sites; the pieces are split out
-/// so a caller can borrow the DIT from inside a `SharedDit::mutate`
-/// closure while the rest lives elsewhere.
+/// Apply one logged op to the state pieces: what recovery replays and
+/// [`DurableDit`](crate::DurableDit) applies. It is meant to match what
+/// the engines do at their journaling sites (see the module docs for
+/// the tests that check it); the pieces are split out so a caller can
+/// borrow the DIT from inside a `SharedDit::mutate` closure while the
+/// rest lives elsewhere.
 pub fn apply_op(
     dit: &mut Dit,
     registry: &mut SoftStateRegistry,
@@ -146,13 +154,11 @@ pub fn apply_op(
             now,
         } => {
             let g = groups.entry(child.to_string()).or_default();
-            let fresh: std::collections::BTreeSet<&Dn> = entries.iter().map(|e| e.dn()).collect();
-            for dn in &g.dns {
-                if !fresh.contains(dn) {
-                    dit.delete(dn);
-                }
+            let fresh: BTreeSet<Dn> = entries.iter().map(|e| e.dn().clone()).collect();
+            for dn in g.dns.difference(&fresh) {
+                dit.delete(dn);
             }
-            g.dns = entries.iter().map(|e| e.dn().clone()).collect();
+            g.dns = fresh;
             g.at = Some(*now);
             for e in entries {
                 dit.upsert(e.clone());
@@ -180,12 +186,10 @@ pub fn apply_op(
             let g = groups.entry(child.to_string()).or_default();
             for dn in deletes {
                 dit.delete(dn);
-                g.dns.retain(|d| d != dn);
+                g.dns.remove(dn);
             }
             for e in upserts {
-                if !g.dns.contains(e.dn()) {
-                    g.dns.push(e.dn().clone());
-                }
+                g.dns.insert(e.dn().clone());
                 dit.upsert(e.clone());
             }
             g.at = Some(*now);
